@@ -6,6 +6,7 @@
 package aiql_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -26,6 +27,7 @@ import (
 	"aiql/internal/queries"
 	"aiql/internal/server"
 	"aiql/internal/storage"
+	"aiql/internal/trace"
 	"aiql/internal/types"
 )
 
@@ -301,7 +303,50 @@ func BenchmarkIngest(b *testing.B) {
 		st := storage.New(storage.Options{})
 		st.Ingest(ds)
 	}
-	b.SetBytes(int64(len(ds.Events)))
+	reportEventsPerSec(b, len(ds.Events))
+}
+
+// reportEventsPerSec reports ingest throughput for a benchmark whose every
+// op handles perOp events.
+func reportEventsPerSec(b *testing.B, perOp int) {
+	b.ReportMetric(float64(perOp)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkTraceRead measures the /ingest decoder, trace.Read, on JSON-lines
+// batches cut from the benchmark dataset: 250 events each (perfbench's
+// history batch size), preceded by the entities they are first to
+// reference, as an agent would send them. One op decodes one batch; CI
+// gates its B/op.
+func BenchmarkTraceRead(b *testing.B) {
+	ds := benchDataset()
+	const batches, batchEvents = 40, 250
+	bodies := make([][]byte, 0, batches)
+	sent := make(map[types.EntityID]bool)
+	for lo := 0; len(bodies) < batches; lo += batchEvents {
+		evs := append([]types.Event(nil), ds.Events[lo:lo+batchEvents]...)
+		var ents []types.Entity
+		for _, ev := range evs {
+			for _, id := range [2]types.EntityID{ev.Subject, ev.Object} {
+				if !sent[id] {
+					sent[id] = true
+					ents = append(ents, *ds.Entity(id))
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, types.NewDataset(ents, evs)); err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, buf.Bytes())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.Read(bytes.NewReader(bodies[i%batches])); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportEventsPerSec(b, batchEvents)
 }
 
 // BenchmarkAnomalyWindow measures the sliding-window anomaly executor
@@ -681,13 +726,12 @@ func BenchmarkIngestWALVsMemory(b *testing.B) {
 	ds := benchDataset()
 	const batches = 16
 	b.Run("memory", func(b *testing.B) {
-		b.SetBytes(int64(len(ds.Events)))
 		for i := 0; i < b.N; i++ {
 			bench.IngestMemory(ds, batches)
 		}
+		reportEventsPerSec(b, len(ds.Events))
 	})
 	b.Run("wal-group-commit", func(b *testing.B) {
-		b.SetBytes(int64(len(ds.Events)))
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			dir := b.TempDir()
@@ -696,9 +740,9 @@ func BenchmarkIngestWALVsMemory(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		reportEventsPerSec(b, len(ds.Events))
 	})
 	b.Run("wal-fsync-per-batch", func(b *testing.B) {
-		b.SetBytes(int64(len(ds.Events)))
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			dir := b.TempDir()
@@ -707,5 +751,6 @@ func BenchmarkIngestWALVsMemory(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		reportEventsPerSec(b, len(ds.Events))
 	})
 }

@@ -154,6 +154,7 @@ func TestShippedBaselineParses(t *testing.T) {
 		"BenchmarkStreamMatch/rules=20+broad",
 		"BenchmarkHotScanLike/columnar",
 		"BenchmarkHotScanLike/scalar",
+		"BenchmarkTraceRead",
 	} {
 		if _, ok := base[name]; !ok {
 			t.Errorf("baseline file missing %s", name)

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -112,5 +115,136 @@ func TestEmptyDataset(t *testing.T) {
 	}
 	if len(ds.Entities) != 0 || len(ds.Events) != 0 {
 		t.Error("empty round trip not empty")
+	}
+}
+
+// paddedEntity returns an entity line of exactly n bytes, padded in its
+// name attribute.
+func paddedEntity(n int) []byte {
+	head, tail := `{"kind":"entity","id":1,"type":"file","attrs":{"name":"`, `"}}`
+	b := make([]byte, n, n+1)
+	copy(b, head)
+	for i := len(head); i < n-len(tail); i++ {
+		b[i] = 'a'
+	}
+	copy(b[n-len(tail):], tail)
+	return b
+}
+
+func TestReadLineTooLong(t *testing.T) {
+	fits := append(paddedEntity(maxLine-1), '\n')
+	ds, err := Read(bytes.NewReader(fits))
+	if err != nil {
+		t.Fatalf("line of maxLine-1 bytes: %v", err)
+	}
+	if len(ds.Entities) != 1 {
+		t.Fatalf("entities = %d, want 1", len(ds.Entities))
+	}
+	for _, in := range [][]byte{paddedEntity(maxLine), append(paddedEntity(maxLine+1), '\n')} {
+		_, err := Read(bytes.NewReader(in))
+		if !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("%d-byte line: error %v does not wrap bufio.ErrTooLong", len(in), err)
+		}
+		if !strings.HasPrefix(err.Error(), "trace: line 1: ") {
+			t.Errorf("error %q lacks the line prefix", err)
+		}
+	}
+}
+
+func TestReadDeepNesting(t *testing.T) {
+	nested := func(depth int) []byte {
+		return []byte(`{"kind":"event","op":"read","x":` +
+			strings.Repeat("[", depth) + strings.Repeat("]", depth) + "}")
+	}
+	// The record object is one level, so 9,999 nested arrays reach
+	// encoding/json's limit of 10,000 and one more exceeds it.
+	checkAgainstOracle(t, nested(maxDepth-1))
+	if _, err := Read(bytes.NewReader(nested(maxDepth - 1))); err != nil {
+		t.Fatalf("depth %d rejected: %v", maxDepth, err)
+	}
+	checkAgainstOracle(t, nested(maxDepth))
+	for _, depth := range []int{maxDepth, 1 << 20} {
+		_, err := Read(bytes.NewReader(nested(depth)))
+		if err == nil || !strings.Contains(err.Error(), "exceeded max depth") {
+			t.Fatalf("depth %d: error %v, want exceeded max depth", depth+1, err)
+		}
+	}
+}
+
+// liveBatch is a 14-event batch with its entities, the size of one live
+// ingest request.
+func liveBatch(t testing.TB) []byte {
+	ds := gen.Scenario(gen.Config{Hosts: 10, Days: 3, BackgroundPerHostDay: 20, Seed: 9})
+	evs := ds.Events[:14]
+	var ents []types.Entity
+	seen := map[types.EntityID]bool{}
+	for _, ev := range evs {
+		for _, id := range [2]types.EntityID{ev.Subject, ev.Object} {
+			if !seen[id] {
+				seen[id] = true
+				ents = append(ents, *ds.Entity(id))
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, types.NewDataset(ents, append([]types.Event(nil), evs...))); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadAllocationBudget pins the per-call cost of a live batch: a
+// 4 KiB read buffer, one map and one value string per entity, and the
+// result slices — nowhere near the 1 MiB scanner buffer (and ~1,100
+// allocations) each call of the encoding/json decoder cost.
+func TestReadAllocationBudget(t *testing.T) {
+	body := liveBatch(t)
+	const runs = 200
+	read := func() {
+		if _, err := Read(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perCall > 32<<10 {
+		t.Errorf("Read of a %d-byte batch allocates %d B per call, want <= 32 KiB", len(body), perCall)
+	}
+	allocs := testing.AllocsPerRun(runs, read)
+	if allocs > 160 {
+		t.Errorf("Read of a %d-byte batch makes %.0f allocations per call, want <= 160", len(body), allocs)
+	}
+	t.Logf("%d-byte batch: %d B, %.0f allocs per call", len(body), perCall, allocs)
+}
+
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// A read error ends the stream with that error, wrapped, even when it
+// cuts a record in half: the truncated tail is not parsed as a line.
+func TestReadReaderErrorIsWrapped(t *testing.T) {
+	errCut := errors.New("cut")
+	in := `{"kind":"entity","id":1,"type":"file"}` + "\n" + `{"kind":"ent`
+	_, err := Read(&failingReader{data: []byte(in), err: errCut})
+	if !errors.Is(err, errCut) {
+		t.Fatalf("error %v does not wrap the reader's error", err)
 	}
 }
