@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aiql/internal/gen"
@@ -52,13 +54,13 @@ func v2TestData(n int) ([]types.Entity, []types.Event) {
 	return entities, events
 }
 
-// coldStoreFrom writes the dataset as a v2 segment in dir and installs it
+// coldStoreFrom writes the dataset as a v3 segment in dir and installs it
 // into a fresh store as cold runs (entities hot, events cold).
 func coldStoreFrom(t *testing.T, dir string, opts Options, entities []types.Entity, events []types.Event) (*Store, *segmentV2File) {
 	t.Helper()
-	sf, err := writeSegmentV2(dir, 1, uint64(len(events)), entities, events)
+	sf, err := writeSegmentV3(dir, 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
-		t.Fatalf("writeSegmentV2: %v", err)
+		t.Fatalf("writeSegmentV3: %v", err)
 	}
 	st := New(opts)
 	st.Ingest(&types.Dataset{Entities: entities})
@@ -70,7 +72,7 @@ func coldStoreFrom(t *testing.T, dir string, opts Options, entities []types.Enti
 }
 
 // TestSegmentV2RoundTrip writes the generator's reference scenario into a
-// v2 segment, installs it cold, and requires the store to be exhaustively
+// segment, installs it cold, and requires the store to be exhaustively
 // indistinguishable from one that ingested the same data hot.
 func TestSegmentV2RoundTrip(t *testing.T) {
 	ds := gen.Scenario(gen.SmallConfig())
@@ -110,14 +112,14 @@ func TestSegmentV2ThawOnOutOfOrderIngest(t *testing.T) {
 
 // --- corruption matrix ------------------------------------------------
 
-// v2Layout decodes the header/directory offsets a tampering test needs.
-type v2Layout struct {
+// segLayout decodes the header/directory offsets a tampering test needs.
+type segLayout struct {
 	nParts  int
 	dirOff  int
-	entries []v2DirEntry
+	entries []segDirLayout
 }
 
-type v2DirEntry struct {
+type segDirLayout struct {
 	off              int // entry offset in the file
 	nEvents, nBlocks int
 	nDict            int
@@ -125,12 +127,12 @@ type v2DirEntry struct {
 	dataOff, dataLen int
 }
 
-func readV2Layout(t *testing.T, raw []byte) v2Layout {
+func readV2Layout(t *testing.T, raw []byte) segLayout {
 	t.Helper()
-	l := v2Layout{nParts: int(binary.LittleEndian.Uint32(raw[24:28])), dirOff: segHeaderLen}
+	l := segLayout{nParts: int(binary.LittleEndian.Uint32(raw[24:28])), dirOff: segHeaderLen}
 	for i := 0; i < l.nParts; i++ {
 		off := l.dirOff + i*segV2DirEntry
-		l.entries = append(l.entries, v2DirEntry{
+		l.entries = append(l.entries, segDirLayout{
 			off:     off,
 			nEvents: int(binary.LittleEndian.Uint32(raw[off+16 : off+20])),
 			nBlocks: int(binary.LittleEndian.Uint32(raw[off+20 : off+24])),
@@ -144,26 +146,14 @@ func readV2Layout(t *testing.T, raw []byte) v2Layout {
 	return l
 }
 
-// fixupV2CRCs recomputes the checksums above the tampered layer — zone CRCs
-// from block data (when fixZones), partition meta CRCs, and the directory
-// CRC — so the corruption under test is the one the reader must catch, not
-// a checksum mismatch upstream of it.
-func fixupV2CRCs(t *testing.T, raw []byte, fixZones bool) {
+// resealMeta recomputes the checksums above a tampered zone map — each
+// partition's meta CRC and the directory CRC that covers them — so the
+// corruption under test is the one the block reader must catch, not a
+// checksum mismatch upstream of it.
+func resealMeta(t *testing.T, raw []byte) {
 	t.Helper()
 	l := readV2Layout(t, raw)
 	for _, e := range l.entries {
-		zonesOff := e.metaOff + e.nDict*8
-		if fixZones {
-			rowBase := 0
-			for b := 0; b < e.nBlocks; b++ {
-				z := zonesOff + b*segV2ZoneBytes
-				count := int(binary.LittleEndian.Uint32(raw[z : z+4]))
-				blockOff := e.dataOff + rowBase*segV2RowBytes
-				crc := crc32.Checksum(raw[blockOff:blockOff+count*segV2RowBytes], castagnoli)
-				binary.LittleEndian.PutUint32(raw[z+4:z+8], crc)
-				rowBase += count
-			}
-		}
 		metaCRC := crc32.Checksum(raw[e.metaOff:e.metaOff+e.metaLen], castagnoli)
 		binary.LittleEndian.PutUint32(raw[e.off+28:e.off+32], metaCRC)
 	}
@@ -171,23 +161,53 @@ func fixupV2CRCs(t *testing.T, raw []byte, fixZones bool) {
 	binary.LittleEndian.PutUint32(raw[52:56], dirCRC)
 }
 
-// TestSegmentV2CorruptionMatrix damages a valid v2 segment in each of the
-// ways the reader defends against and requires a typed ErrSegmentCorrupt —
-// at open when the header/directory is hurt, from the scan when a lazily
-// read region is — and never a panic or a hot-path fallback that hides it.
+// readBackSegment opens the segment at path, reads its entities, installs
+// it cold into a store holding entities, and drains a full scan — every
+// stage at which a damaged file can surface. Zone maps are disabled so
+// damaged blocks cannot hide behind the pruning the damage itself
+// corrupted.
+func readBackSegment(path string, entities []types.Entity) ([]Match, error) {
+	seg, err := openSegmentAny(path)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := seg.readEntities(); err != nil {
+		return nil, err
+	}
+	st := New(Options{DisableZoneMaps: true})
+	st.Ingest(&types.Dataset{Entities: entities})
+	if err := seg.install(st); err != nil {
+		return nil, err
+	}
+	defer seg.(*segmentV2File).unmap()
+	c := st.Scan(context.Background(), &DataQuery{Ops: types.AllOps()})
+	defer c.Close()
+	got := Drain(c)
+	return got, c.Err()
+}
+
+// TestSegmentV2CorruptionMatrix damages a valid segment in each of the ways
+// the reader defends against and requires a typed ErrSegmentCorrupt naming
+// the check that fired — at open when the header/directory is hurt, from
+// the scan when a lazily read region is — and never a panic or a hot-path
+// fallback that hides it. The zone-map cases re-seal every checksum above
+// the tampered field so the block decoder's own consistency checks, not a
+// CRC, must catch them.
 func TestSegmentV2CorruptionMatrix(t *testing.T) {
 	entities, events := v2TestData(2500)
 	dir := t.TempDir()
-	sf, err := writeSegmentV2(dir, 1, uint64(len(events)), entities, events)
+	sf, err := writeSegmentV3(dir, 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sf.unmap()
 	pristine, err := os.ReadFile(sf.path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layout := readV2Layout(t, pristine)
 	e0 := layout.entries[0]
+	zone0 := e0.metaOff + e0.nDict*8 // block 0's zone map
 
 	cases := []struct {
 		name    string
@@ -221,11 +241,12 @@ func TestSegmentV2CorruptionMatrix(t *testing.T) {
 				raw[e0.metaOff] ^= 0x01 // first dictionary id
 				return raw
 			},
+			wantMsg: "checksum",
 		},
 		{
 			name: "block-checksum",
 			mutate: func(t *testing.T, raw []byte) []byte {
-				raw[e0.dataOff+5] ^= 0x01 // inside block 0's starts column
+				raw[e0.dataOff+5] ^= 0x01 // inside block 0's stored bytes
 				return raw
 			},
 			wantMsg: "checksum",
@@ -233,13 +254,17 @@ func TestSegmentV2CorruptionMatrix(t *testing.T) {
 		{
 			name: "out-of-range-dictionary-index",
 			mutate: func(t *testing.T, raw []byte) []byte {
-				// Overwrite row 0's subject dictionary index (the subj column
-				// follows starts/ends/ids/seqs/amounts/fails) with a value no
-				// dictionary can hold, then re-seal every checksum above it.
-				count := 1024
-				subjOff := e0.dataOff + (4+8*5)*count
-				binary.LittleEndian.PutUint32(raw[subjOff:subjOff+4], 0xFFFFFFFF)
-				fixupV2CRCs(t, raw, true)
+				// Lower block 0's advertised maximum subject index by one.
+				// The packed subject column keeps its bit width, so the block
+				// still decodes, and its rows naming the old maximum now hold
+				// an index outside the zone's dictionary range.
+				minSubj := binary.LittleEndian.Uint32(raw[zone0+26:])
+				maxSubj := binary.LittleEndian.Uint32(raw[zone0+30:])
+				if maxSubj == minSubj || bits.Len32(maxSubj-1-minSubj) != bits.Len32(maxSubj-minSubj) {
+					t.Fatalf("zone subject range [%d,%d] cannot narrow at constant width", minSubj, maxSubj)
+				}
+				binary.LittleEndian.PutUint32(raw[zone0+30:], maxSubj-1)
+				resealMeta(t, raw)
 				return raw
 			},
 			wantMsg: "dictionary index",
@@ -247,11 +272,15 @@ func TestSegmentV2CorruptionMatrix(t *testing.T) {
 		{
 			name: "zone-map-inconsistent-with-block",
 			mutate: func(t *testing.T, raw []byte) []byte {
-				// Clear block 0's op bitmap: the zone now claims ops the block
-				// demonstrably contains are absent.
-				zonesOff := e0.metaOff + e0.nDict*8
-				binary.LittleEndian.PutUint16(raw[zonesOff+24:zonesOff+26], 0)
-				fixupV2CRCs(t, raw, false)
+				// Drop OpRead from block 0's op set: the zone now claims an op
+				// the block demonstrably contains is absent. OpRead is not the
+				// largest op present, so the packed op width is unchanged.
+				ops := types.OpSet(binary.LittleEndian.Uint16(raw[zone0+24:]))
+				if !ops.Contains(types.OpRead) || opWidth(ops) != opWidth(ops&^types.NewOpSet(types.OpRead)) {
+					t.Fatalf("zone op set %v cannot drop read at constant width", ops)
+				}
+				binary.LittleEndian.PutUint16(raw[zone0+24:], uint16(ops&^types.NewOpSet(types.OpRead)))
+				resealMeta(t, raw)
 				return raw
 			},
 			wantMsg: "op",
@@ -265,47 +294,19 @@ func TestSegmentV2CorruptionMatrix(t *testing.T) {
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			err := func() error {
-				seg, err := openSegmentAny(path)
-				if err != nil {
-					return err
-				}
-				if _, err := seg.readEntities(); err != nil {
-					return err
-				}
-				// Scan with zone maps disabled so damaged blocks cannot hide
-				// behind the pruning the damage itself corrupted.
-				st := New(Options{DisableZoneMaps: true})
-				st.Ingest(&types.Dataset{Entities: entities})
-				if err := seg.install(st); err != nil {
-					return err
-				}
-				defer seg.(*segmentV2File).unmap()
-				c := st.Scan(context.Background(), &DataQuery{Ops: types.AllOps()})
-				defer c.Close()
-				Drain(c)
-				return c.Err()
-			}()
+			_, err := readBackSegment(path, entities)
 			if err == nil {
 				t.Fatal("corrupted segment was read back without error")
 			}
+			t.Log(err)
 			if !errors.Is(err, ErrSegmentCorrupt) {
 				t.Fatalf("error %v is not ErrSegmentCorrupt", err)
 			}
-			if tc.wantMsg != "" && !contains(err.Error(), tc.wantMsg) {
+			if tc.wantMsg != "" && !strings.Contains(err.Error(), tc.wantMsg) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantMsg)
 			}
 		})
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // TestColdScanLazyBlocks is the WarmUp regression guard: opening and

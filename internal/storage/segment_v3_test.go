@@ -11,23 +11,6 @@ import (
 	"aiql/internal/types"
 )
 
-// coldStoreFromV3 writes the dataset as a v3 segment in dir and installs it
-// into a fresh store as cold runs (entities hot, events cold).
-func coldStoreFromV3(t *testing.T, dir string, opts Options, entities []types.Entity, events []types.Event) (*Store, *segmentV2File) {
-	t.Helper()
-	sf, err := writeSegmentV3(dir, 1, uint64(len(events)), entities, events, nil)
-	if err != nil {
-		t.Fatalf("writeSegmentV3: %v", err)
-	}
-	st := New(opts)
-	st.Ingest(&types.Dataset{Entities: entities})
-	if err := sf.install(st); err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	t.Cleanup(sf.unmap)
-	return st, sf
-}
-
 // TestSegmentV3RoundTrip writes a multi-block dataset as a v3 segment and
 // requires the cold store to answer exactly like the all-hot reference,
 // through both the full-scan and the indexed path.
@@ -36,7 +19,7 @@ func TestSegmentV3RoundTrip(t *testing.T) {
 	want := New(Options{})
 	want.Ingest(&types.Dataset{Entities: entities, Events: events})
 
-	got, sf := coldStoreFromV3(t, t.TempDir(), Options{}, entities, events)
+	got, sf := coldStoreFrom(t, t.TempDir(), Options{}, entities, events)
 	if v := sf.formatVersion(); v != 3 {
 		t.Fatalf("formatVersion = %d, want 3", v)
 	}
@@ -53,34 +36,26 @@ func TestSegmentV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentV3CompressionSavesSpace writes the same dataset in both
-// columnar formats and requires the compressed file to be measurably
-// smaller — the acceptance criterion behind the format bump.
+// TestSegmentV3CompressionSavesSpace writes a dataset as a segment and
+// requires the file — entities, dictionary, zone maps and posting lists
+// included — to be measurably smaller than the same batch in the WAL's
+// fixed-width row encoding.
 func TestSegmentV3CompressionSavesSpace(t *testing.T) {
 	entities, events := v2TestData(5000)
-	sfV2, err := writeSegmentV2(t.TempDir(), 1, uint64(len(events)), entities, events)
+	sf, err := writeSegmentV3(t.TempDir(), 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sfV2.unmap()
-	sfV3, err := writeSegmentV3(t.TempDir(), 1, uint64(len(events)), entities, events, nil)
+	defer sf.unmap()
+	fi, err := os.Stat(sf.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sfV3.unmap()
-
-	s2, err := os.Stat(sfV2.path)
-	if err != nil {
-		t.Fatal(err)
+	rows := len(encodeBatch(entities, events))
+	if fi.Size() >= int64(rows) {
+		t.Fatalf("segment is %d bytes, row encoding %d — compression saved nothing", fi.Size(), rows)
 	}
-	s3, err := os.Stat(sfV3.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.Size() >= s2.Size() {
-		t.Fatalf("v3 segment is %d bytes, v2 is %d — compression saved nothing", s3.Size(), s2.Size())
-	}
-	t.Logf("v2 %d bytes, v3 %d bytes (%.1f%% of v2)", s2.Size(), s3.Size(), 100*float64(s3.Size())/float64(s2.Size()))
+	t.Logf("segment %d bytes, row encoding %d bytes (%.1f%%)", fi.Size(), rows, 100*float64(fi.Size())/float64(rows))
 }
 
 // TestSegmentV3CompressedCounters scans a v3 store and checks the
@@ -88,7 +63,7 @@ func TestSegmentV3CompressionSavesSpace(t *testing.T) {
 // than the raw bytes they decoded to on this highly regular dataset.
 func TestSegmentV3CompressedCounters(t *testing.T) {
 	entities, events := v2TestData(4000)
-	st, _ := coldStoreFromV3(t, t.TempDir(), Options{}, entities, events)
+	st, _ := coldStoreFrom(t, t.TempDir(), Options{}, entities, events)
 	if n := len(st.Run(context.Background(), &DataQuery{Ops: types.AllOps()})); n != 4000 {
 		t.Fatalf("full scan returned %d matches, want 4000", n)
 	}
@@ -131,7 +106,7 @@ func TestSegmentV3CorruptionTyped(t *testing.T) {
 		{"bad-magic", func(raw []byte) []byte { raw[0] ^= 0xFF; return raw }},
 		{"truncated-file", func(raw []byte) []byte { return raw[:len(raw)-7] }},
 		{"directory-bit-flip", func(raw []byte) []byte { raw[pe.off+16] ^= 0x01; return raw }},
-		{"zone-meta-bit-flip", func(raw []byte) []byte { raw[pe.metaOff+segV2ZoneBytes+3] ^= 0x40; return raw }},
+		{"zone-meta-bit-flip", func(raw []byte) []byte { raw[pe.metaOff+pe.nDict*8+3] ^= 0x40; return raw }},
 		{"block-flag-byte", func(raw []byte) []byte { raw[pe.dataOff] ^= 0x01; return raw }},
 		{"block-payload-bit-flip", func(raw []byte) []byte { raw[pe.dataOff+pe.dataLen/2] ^= 0x10; return raw }},
 	}
@@ -141,25 +116,7 @@ func TestSegmentV3CorruptionTyped(t *testing.T) {
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			err := func() error {
-				seg, err := openSegmentAny(path)
-				if err != nil {
-					return err
-				}
-				defer seg.(*segmentV2File).unmap()
-				if _, err := seg.readEntities(); err != nil {
-					return err
-				}
-				st := New(Options{DisableZoneMaps: true})
-				st.Ingest(&types.Dataset{Entities: entities})
-				if err := seg.install(st); err != nil {
-					return err
-				}
-				c := st.Scan(context.Background(), &DataQuery{Ops: types.AllOps()})
-				defer c.Close()
-				Drain(c)
-				return c.Err()
-			}()
+			_, err := readBackSegment(path, entities)
 			if err == nil {
 				t.Fatal("corruption went undetected")
 			}
@@ -224,7 +181,7 @@ func TestSegmentV3AttrZonePruning(t *testing.T) {
 		}
 	}
 
-	pruned, sf := coldStoreFromV3(t, t.TempDir(), Options{}, entities, events)
+	pruned, sf := coldStoreFrom(t, t.TempDir(), Options{}, entities, events)
 	sfRe, err := openSegmentV3(sf.path)
 	if err != nil {
 		t.Fatal(err)
