@@ -14,20 +14,17 @@ import (
 )
 
 // buildSegmentedDir ingests the reference scenario into dir in two halves,
-// compacting each into a segment: the first under firstLegacy (v1 row
-// format when true), the second under secondLegacy. The directory ends with
-// two segments of the requested format mix and an empty WAL.
-func buildSegmentedDir(t *testing.T, dir string, firstLegacy, secondLegacy bool) {
+// compacting each into a segment across a reopen. The directory ends with
+// two segments and an empty WAL.
+func buildSegmentedDir(t *testing.T, dir string) {
 	t.Helper()
 	ds := gen.Scenario(gen.SmallConfig())
 	batches := bench.SplitBatches(ds, 4)
-	phase := func(legacy bool, bs []*types.Dataset) {
+	phase := func(bs []*types.Dataset) {
 		t.Helper()
-		opts := storage.PersistOptions{
+		p, err := storage.OpenPersistent(dir, storage.PersistOptions{
 			SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1,
-			LegacySegmentV1: legacy,
-		}
-		p, err := storage.OpenPersistent(dir, opts)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,76 +41,57 @@ func buildSegmentedDir(t *testing.T, dir string, firstLegacy, secondLegacy bool)
 			t.Fatal(err)
 		}
 	}
-	phase(firstLegacy, batches[:2])
-	phase(secondLegacy, batches[2:])
+	phase(batches[:2])
+	phase(batches[2:])
 }
 
-// TestSegmentFormatsAnswerGoldenCorpus reopens stores recovered purely from
-// v1 segments, purely from v2 segments, and from one of each, and requires
-// every one of them to answer the full golden corpus exactly like the
-// uninterrupted in-memory reference.
-func TestSegmentFormatsAnswerGoldenCorpus(t *testing.T) {
+// TestSegmentedStoreAnswersGoldenCorpus reopens a store recovered purely
+// from two sealed segments and requires it to answer the full golden corpus
+// exactly like the uninterrupted in-memory reference.
+func TestSegmentedStoreAnswersGoldenCorpus(t *testing.T) {
 	if testing.Short() {
-		t.Skip("short mode: segment-format corpus run")
+		t.Skip("short mode: segmented-store corpus run")
 	}
-	configs := []struct {
-		name                      string
-		firstLegacy, secondLegacy bool
-	}{
-		{"v1-only", true, true},
-		{"v2-only", false, false},
-		{"mixed-v1-v2", true, false},
+	dir := t.TempDir()
+	buildSegmentedDir(t, dir)
+	re, err := storage.OpenPersistent(dir, storage.PersistOptions{
+		SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := re.WarmUp(); err != nil {
+		t.Fatal(err)
+	}
+	if st := re.DurabilityStats(); st.Segments != 2 || st.SegmentsV3 != 2 || st.Replayed != 0 {
+		t.Fatalf("recovered %d segments (%d v3) and replayed %d WAL records, want 2 v3 segments and no replay",
+			st.Segments, st.SegmentsV3, st.Replayed)
 	}
 	ref := goldenEngine()
-	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
-			dir := t.TempDir()
-			buildSegmentedDir(t, dir, cfg.firstLegacy, cfg.secondLegacy)
-			re, err := storage.OpenPersistent(dir, storage.PersistOptions{
-				SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			if err := re.WarmUp(); err != nil {
-				t.Fatal(err)
-			}
-			wantV2 := 0
-			if !cfg.firstLegacy {
-				wantV2++
-			}
-			if !cfg.secondLegacy {
-				wantV2++
-			}
-			if st := re.DurabilityStats(); st.Segments != 2 || st.SegmentsV2 != wantV2 {
-				t.Fatalf("segments = %d (%d v2), want 2 (%d v2)", st.Segments, st.SegmentsV2, wantV2)
-			}
-			eng := engine.New(re.Store, engine.Options{})
-			for _, q := range allQueries() {
-				wantRes, err := ref.Query(q.Src)
-				if err != nil {
-					t.Fatalf("%s on reference store: %v", q.ID, err)
-				}
-				gotRes, err := eng.Query(q.Src)
-				if err != nil {
-					t.Fatalf("%s on %s store: %v", q.ID, cfg.name, err)
-				}
-				if !equalStrings(gotRes.Columns, wantRes.Columns) {
-					t.Errorf("%s: columns %v, want %v", q.ID, gotRes.Columns, wantRes.Columns)
-					continue
-				}
-				if !equalRows(sortedRows(gotRes.Rows), sortedRows(wantRes.Rows)) {
-					t.Errorf("%s: %s store returned %d rows, reference %d — result sets differ",
-						q.ID, cfg.name, len(gotRes.Rows), len(wantRes.Rows))
-				}
-			}
-		})
+	eng := engine.New(re.Store, engine.Options{})
+	for _, q := range allQueries() {
+		wantRes, err := ref.Query(q.Src)
+		if err != nil {
+			t.Fatalf("%s on reference store: %v", q.ID, err)
+		}
+		gotRes, err := eng.Query(q.Src)
+		if err != nil {
+			t.Fatalf("%s on segmented store: %v", q.ID, err)
+		}
+		if !equalStrings(gotRes.Columns, wantRes.Columns) {
+			t.Errorf("%s: columns %v, want %v", q.ID, gotRes.Columns, wantRes.Columns)
+			continue
+		}
+		if !equalRows(sortedRows(gotRes.Rows), sortedRows(wantRes.Rows)) {
+			t.Errorf("%s: segmented store returned %d rows, reference %d — result sets differ",
+				q.ID, len(gotRes.Rows), len(wantRes.Rows))
+		}
 	}
 }
 
 // TestZoneMapPruningDifferential runs the shared random-query distribution
-// against the same v2-segment directory with zone-map pruning enabled and
+// against the same segmented directory with zone-map pruning enabled and
 // disabled. Every query must return the identical row set, and the pruning
 // run's counters must prove blocks were actually skipped — the two halves
 // of "pruning is free": no rows lost, real work saved.
@@ -122,7 +100,7 @@ func TestZoneMapPruningDifferential(t *testing.T) {
 		t.Skip("short mode: pruning differential run")
 	}
 	dir := t.TempDir()
-	buildSegmentedDir(t, dir, false, false)
+	buildSegmentedDir(t, dir)
 
 	// The shared random distribution covers the semantic space at day
 	// granularity; partition selection alone handles day windows, so a set

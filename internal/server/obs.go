@@ -216,7 +216,6 @@ func (s *Server) durabilityMetrics(reg *obs.Registry) {
 	reg.CounterFunc("aiql_wal_fsyncs_total", "WAL fsync calls.", func() float64 { return float64(ds().WALFsyncs) })
 	reg.CounterFunc("aiql_wal_fsync_seconds_total", "Cumulative seconds spent in WAL fsync.", func() float64 { return float64(ds().WALFsyncNanos) / 1e9 })
 	reg.GaugeFunc("aiql_segments_count", "Immutable segment files.", func() float64 { return float64(ds().Segments) })
-	reg.GaugeFunc("aiql_segments_v2_count", "Segments in columnar v2+ format.", func() float64 { return float64(ds().SegmentsV2) })
 	reg.GaugeFunc("aiql_segments_v3_count", "Segments with compressed blocks and attribute zone maps (v3).", func() float64 { return float64(ds().SegmentsV3) })
 	reg.GaugeFunc("aiql_segment_events_count", "Events held in sealed segments.", func() float64 { return float64(ds().SegmentEvents) })
 	reg.CounterFunc("aiql_compactions_total", "WAL-to-segment compactions.", func() float64 { return float64(ds().Compactions) })

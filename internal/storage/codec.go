@@ -212,50 +212,3 @@ func decodeBatch(payload []byte) ([]types.Entity, []types.Event, error) {
 	}
 	return entities, events, nil
 }
-
-// appendPostings serializes one posting-list map (entity id -> sorted
-// event positions).
-func appendPostings(buf []byte, lists map[types.EntityID][]int32) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(lists)))
-	for id, positions := range lists {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(positions)))
-		for _, p := range positions {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
-		}
-	}
-	return buf
-}
-
-func (d *decoder) postings(maxPos int) map[types.EntityID][]int32 {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	// Each posting list costs at least an id (u64) plus a count (u32);
-	// a corrupt list count must error, never size an allocation.
-	if int(n) > (len(d.b)-d.off)/12+1 {
-		d.fail()
-		return nil
-	}
-	lists := make(map[types.EntityID][]int32, n)
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		id := types.EntityID(d.u64())
-		k := d.u32()
-		if d.err != nil || int(k) > (len(d.b)-d.off)/4+1 {
-			d.fail()
-			return nil
-		}
-		positions := make([]int32, 0, k)
-		for j := uint32(0); j < k && d.err == nil; j++ {
-			p := int32(d.u32())
-			if p < 0 || int(p) >= maxPos {
-				d.fail()
-				return nil
-			}
-			positions = append(positions, p)
-		}
-		lists[id] = positions
-	}
-	return lists
-}

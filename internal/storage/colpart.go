@@ -10,7 +10,7 @@ import (
 )
 
 // Cold partitions: a partition whose sealed history lives in mmap'ed
-// columnar (v2/v3) segments instead of decoded []Event arrays. A coldRun is
+// columnar segments instead of decoded []Event arrays. A coldRun is
 // one segment partition; a partition's cold prefix is an ordered list of
 // runs that are strictly older than every hot (in-memory) event in the
 // partition:
@@ -30,7 +30,7 @@ import (
 // surviving blocks decode into reusable column scratch and run through the
 // vectorized predicate kernel; only actual matches materialize Events.
 
-// coldRun is one sealed v2 segment partition serving as part of a
+// coldRun is one sealed segment partition serving as part of a
 // partition's cold prefix.
 type coldRun struct {
 	sf *segmentV2File
@@ -48,9 +48,8 @@ func (r *coldRun) decodeAll() ([]types.Event, map[types.EntityID][]int32, map[ty
 	}
 	events := make([]types.Event, 0, r.pi.nEvents)
 	var cols blockCols
-	rowBase := 0
 	for b := range m.zones {
-		if err := r.sf.decodeBlock(r.pi, m, b, rowBase, &cols); err != nil {
+		if err := r.sf.decodeBlock(r.pi, m, b, &cols); err != nil {
 			return nil, nil, nil, err
 		}
 		for i := 0; i < cols.n; i++ {
@@ -58,7 +57,6 @@ func (r *coldRun) decodeAll() ([]types.Event, map[types.EntityID][]int32, map[ty
 			cols.event(i, m, &ev)
 			events = append(events, ev)
 		}
-		rowBase += cols.n
 	}
 	bySubject := make(map[types.EntityID][]int32, len(m.dict))
 	byObject := make(map[types.EntityID][]int32, len(m.dict))
@@ -92,7 +90,7 @@ type coldPart struct {
 	bad error
 }
 
-// installColdRun registers one sealed v2 partition with the store. The fast
+// installColdRun registers one sealed partition with the store. The fast
 // path is a pointer hand-off — no event decoded. When the cold invariant
 // cannot hold (the partition already has hot events, or the run overlaps
 // the existing cold prefix), the run decodes and installs through the
@@ -256,7 +254,7 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 	var cols blockCols
 	var sel pred.Bitmap
 
-	// Attribute zone maps (v3 runs only): trigram bits every matching
+	// Attribute zone maps: trigram bits every matching
 	// subject/object entity must exhibit. Valid in candidate-set mode too —
 	// candidate membership implies the predicate holds, which implies the
 	// entity carries the required substrings. Zero masks never prune.
@@ -266,13 +264,11 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 		objTriMask = requiredTriMask(q.ObjPred)
 	}
 
-	// countDecoded records one block decode, with v3 compression traffic.
-	countDecoded := func(run *coldRun, z *segV2Zone) {
+	// countDecoded records one block decode with its compression traffic.
+	countDecoded := func(z *segV2Zone) {
 		stats.blocksDecoded.Add(1)
-		if run.sf.version >= 3 {
-			stats.compressedBytesRead.Add(int64(z.dataLen))
-			stats.compressedBytesDecode.Add(int64(z.rawLen))
-		}
+		stats.compressedBytesRead.Add(int64(z.dataLen))
+		stats.compressedBytesDecode.Add(int64(z.rawLen))
 	}
 
 	// checkRow mirrors the hot path's check() over column data; it
@@ -353,8 +349,8 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 				}
 				if !decoded {
 					stats.blocksConsidered.Add(1)
-					countDecoded(run, &m.zones[b])
-					if err := run.sf.decodeBlock(run.pi, m, b, rowBase, &cols); err != nil {
+					countDecoded(&m.zones[b])
+					if err := run.sf.decodeBlock(run.pi, m, b, &cols); err != nil {
 						return err
 					}
 					decoded = true
@@ -380,7 +376,6 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 				continue
 			}
 		}
-		rowBase := 0
 		for b := range m.zones {
 			if ctx.Err() != nil {
 				return nil
@@ -390,34 +385,28 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 			if zoneMaps {
 				if windowed && (z.maxStart < q.Window.From || z.minStart >= q.Window.To) {
 					stats.blocksSkipped.Add(1)
-					rowBase += z.count
 					continue
 				}
 				if z.ops.Intersect(q.Ops).Empty() {
 					stats.blocksSkipped.Add(1)
-					rowBase += z.count
 					continue
 				}
 				if (subjIdxOK && !anyInRange(subjIdx, z.minSubj, z.maxSubj)) ||
 					(objIdxOK && !anyInRange(objIdx, z.minObj, z.maxObj)) {
 					stats.blocksSkipped.Add(1)
-					rowBase += z.count
 					continue
 				}
-				if run.sf.version >= 3 &&
-					((subjTriMask != 0 && z.subjTri&subjTriMask != subjTriMask) ||
-						(objTriMask != 0 && z.objTri&objTriMask != objTriMask)) {
+				if (subjTriMask != 0 && z.subjTri&subjTriMask != subjTriMask) ||
+					(objTriMask != 0 && z.objTri&objTriMask != objTriMask) {
 					stats.blocksSkipped.Add(1)
 					stats.attrZoneSkips.Add(1)
-					rowBase += z.count
 					continue
 				}
 			}
-			countDecoded(run, z)
-			if err := run.sf.decodeBlock(run.pi, m, b, rowBase, &cols); err != nil {
+			countDecoded(z)
+			if err := run.sf.decodeBlock(run.pi, m, b, &cols); err != nil {
 				return err
 			}
-			rowBase += z.count
 
 			evtVec := false
 			if q.EvtPred != nil && !q.ForceScan {

@@ -7,7 +7,7 @@ import (
 	"aiql/internal/types"
 )
 
-// Hot columnar shadows: the in-memory mirror of the v2/v3 segment layout,
+// Hot columnar shadows: the in-memory mirror of the sealed segment layout,
 // giving hot partitions the same batch-at-a-time scan path cold runs get.
 //
 // A hotShadow is a lazily built columnar copy of a prefix of one

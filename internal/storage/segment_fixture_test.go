@@ -3,17 +3,20 @@ package storage
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aiql/internal/types"
 )
 
-// The segment files under testdata/ were written by an earlier build, one
-// per on-disk format that build could emit, from fixtureData as WAL range
-// [1, 1]. They are inputs, not goldens to regenerate: segment-v3.seg pins
-// the current format's bytes.
+// The segment files under testdata/ were written by the last build that
+// could emit all three on-disk formats, from fixtureData as WAL range
+// [1, 1]. They are inputs, not goldens to regenerate: segment-v1.seg and
+// segment-v2.seg stand for data in the retired formats, and segment-v3.seg
+// pins the current format's bytes.
 
 // fixtureData rebuilds the dataset the testdata segments hold: 240 events
 // over two agents and three days (six partitions), referencing the twenty
@@ -59,7 +62,7 @@ func TestSegmentFixtureV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := writeSegmentV3(t.TempDir(), 1, 1, entities, events, nil)
+	sf, err := writeSegment(t.TempDir(), 1, 1, entities, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,5 +95,29 @@ func TestSegmentFixtureV3(t *testing.T) {
 		if *gm[i].Event != *wm[i].Event || gm[i].Subj.ID != wm[i].Subj.ID || gm[i].Obj.ID != wm[i].Obj.ID {
 			t.Fatalf("match %d: %+v, hot store %+v", i, gm[i].Event, wm[i].Event)
 		}
+	}
+}
+
+// TestRetiredSegmentFormatsFailLoudly requires a data directory holding a
+// v1 (row) or v2 (uncompressed columnar) segment to fail to open with a
+// typed corruption error naming the unsupported magic — never to open with
+// the file's history silently missing.
+func TestRetiredSegmentFormatsFailLoudly(t *testing.T) {
+	for _, tc := range []struct{ file, magic string }{
+		{"segment-v1.seg", "AIQLSEG1"},
+		{"segment-v2.seg", "AIQLSEG2"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			p, err := openFixtureDir(t, tc.file)
+			if err == nil {
+				t.Fatalf("opened a store holding %d events from a retired-format segment", p.EventCount())
+			}
+			if !errors.Is(err, ErrSegmentCorrupt) {
+				t.Fatalf("error %v is not ErrSegmentCorrupt", err)
+			}
+			if !strings.Contains(err.Error(), tc.magic) {
+				t.Fatalf("error %q does not name the magic %s", err, tc.magic)
+			}
+		})
 	}
 }

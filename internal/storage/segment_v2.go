@@ -15,67 +15,82 @@ import (
 	"aiql/internal/types"
 )
 
-// Version 2 of the sealed-segment format replaces v1's row-oriented
-// partition blocks with a columnar layout built for the scan path:
+// Segment files are the immutable, compacted form of a WAL sequence range:
+// one file per compaction, internally partitioned by (agent, UTC day)
+// exactly like the in-memory store, with each partition's events sorted by
+// (Start, Seq) and stored column by column for the scan path:
 //
-//   - Events live in fixed-size blocks (segV2BlockRows rows) of contiguous
-//     per-attribute columns, so a predicate over one attribute walks one
-//     dense array instead of striding through 73-byte row structs.
+//   - Events live in blocks of up to segV2BlockRows rows. Each block stores
+//     its columns contiguously, byte-encoded (see encodeV3Block) and run
+//     through the LZ codec in blockcodec.go when that shrinks them.
 //   - Subject/object entity ids are dictionary-encoded per partition: the
-//     columns hold u32 indexes into a sorted id dictionary, and the posting
-//     lists become slices of one shared position array addressed through a
+//     columns hold indexes into a sorted id dictionary, and the posting
+//     lists are slices of one shared position array addressed through a
 //     bounds table — no per-entity map materialization on load.
-//   - Start timestamps are delta-encoded (u32) against the block's zone-map
-//     minimum; a partition spans one UTC day, so the delta always fits.
 //   - Every block carries a zone map — min/max start time, an OpSet bitmap,
-//     and the min/max dictionary index of its subjects and objects — letting
-//     a query skip whole blocks its predicates cannot match without reading
-//     them.
+//     the min/max dictionary index of its subjects and objects, and trigram
+//     filters over its entities' attribute values — letting a query skip
+//     whole blocks its predicates cannot match without reading them.
 //
-// The file is opened header-and-directory-only (same O(partitions) recovery
-// cost as v1) and the payload is memory-mapped read-only on first use:
-// WarmUp maps the file, and per-partition metadata (dictionary, zones,
-// postings) decodes lazily on first scan of that partition. Cold queries
-// therefore touch only the blocks their windows and predicates select.
+// The file is opened header-and-directory-only — O(partitions), not
+// O(events), so a server with months of segments starts fast — and the
+// payload is memory-mapped read-only on first use: WarmUp maps the file,
+// and per-partition metadata (dictionary, zones, postings) decodes lazily
+// on first scan of that partition. Cold queries therefore touch only the
+// blocks their windows and predicates select.
 //
-// On-disk layout (integers little-endian; header mirrors v1 field-for-field
-// so version dispatch is by magic alone):
+// On-disk layout (integers little-endian):
 //
-//	magic "AIQLSEG2" (8)
-//	firstSeq u64  lastSeq u64
+//	magic "AIQLSEG3" (8)
+//	firstSeq u64  lastSeq u64         — the WAL range this file covers
 //	nParts u32    nEntities u32
 //	entityOff u64 entityLen u64 entityCRC u32
-//	dirCRC u32
+//	dirCRC u32                        — CRC-32C of the directory bytes
 //	directory: nParts × {agent i64, day i64, nEvents u32, nBlocks u32,
 //	                     nDict u32, metaCRC u32, minStart i64, maxStart i64,
 //	                     metaOff u64, metaLen u64, dataOff u64, dataLen u64}
 //	per-partition meta region:
 //	    dict      nDict × u64          (sorted ascending entity ids)
-//	    zones     nBlocks × 42 bytes   {count u32, crc u32, minStart i64,
+//	    zones     nBlocks × 74 bytes   {count u32, crc u32, minStart i64,
 //	                                    maxStart i64, ops u16, minSubj u32,
-//	                                    maxSubj u32, minObj u32, maxObj u32}
+//	                                    maxSubj u32, minObj u32, maxObj u32,
+//	                                    subjTri u64, objTri u64, dataOff u64,
+//	                                    dataLen u32, rawLen u32}
 //	    bounds    (2·nDict+1) × u32    (posting-list boundaries)
 //	    posts     2·nEvents × u32      (event positions; subject list of
 //	                                    dict entry i is posts[bounds[2i]:
 //	                                    bounds[2i+1]], object list is
 //	                                    posts[bounds[2i+1]:bounds[2i+2]])
-//	per-partition data region: nBlocks × block, each block columns in order
-//	    starts u32 (delta) | ends i64 | ids u64 | seqs u64 | amounts i64 |
-//	    fails i64 | subj u32 (dict idx) | obj u32 (dict idx) | ops u8
-//	entity block (identical codec to v1)
+//	per-partition data region: nBlocks × stored block, each a flag byte
+//	    (0 = raw, 1 = LZ) then the payload; the zone's crc covers exactly
+//	    these stored bytes, dataOff/dataLen locate them in the region and
+//	    rawLen is the payload's length before compression
+//	entity block: nEntities × entity (codec.go)
 //
-// Every length in the directory is arithmetically determined by the counts
-// next to it, so a corrupted directory is caught at open by consistency
-// checks rather than surfacing later as an over-allocation.
+// Every length in the directory is bounded by the counts next to it, and
+// the zones' block offsets must tile the data region exactly, so a
+// corrupted directory or zone is caught by consistency checks rather than
+// surfacing later as a misaligned read or an over-allocation.
+//
+// Files are named seg-<firstSeq>-<lastSeq>.seg (16 hex digits each) and
+// written via a .tmp + fsync + rename dance: a crash leaves either no
+// segment (the WAL still covers the range) or a complete one, never a
+// half-written file that parses.
 
 const (
-	segV2Magic     = "AIQLSEG2"
+	segV3Magic     = "AIQLSEG3"
+	segHeaderLen   = 8 + 8 + 8 + 4 + 4 + 8 + 8 + 4 + 4
 	segV2DirEntry  = 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8
-	segV2ZoneBytes = 4 + 4 + 8 + 8 + 2 + 4 + 4 + 4 + 4
-	segV2RowBytes  = 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 1
+	segV3ZoneBytes = 4 + 4 + 8 + 8 + 2 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4
 
 	// segV2BlockRows is the zone-map granularity: rows per column block.
 	segV2BlockRows = 1024
+
+	// segV3MaxRowEnc bounds the encoded (pre-compression) size of one row:
+	// 5 (start uvarint) + 5×10 (svarint columns) + 4+4 (packed dict
+	// indexes) + 1 (packed op, worst case whole byte). Meta decode rejects
+	// any zone advertising more — the OOM guard for lazy block decode.
+	segV3MaxRowEnc = 64
 )
 
 // ErrSegmentCorrupt is wrapped by every error reporting on-disk segment
@@ -87,11 +102,9 @@ func corruptf(path, format string, args ...any) error {
 	return fmt.Errorf("%w: %s: %s", ErrSegmentCorrupt, path, fmt.Sprintf(format, args...))
 }
 
-// segV2Zone is one block's zone map. The trailing fields exist only in the
-// v3 (compressed) encoding: attribute trigram filters over the block's
-// subject/object entities, and the block's position in the partition data
-// region — compressed blocks are variable-length, so offsets can no longer
-// be derived arithmetically from row counts. v2 zones leave them zero.
+// segV2Zone is one block's zone map. Besides the pruning bounds it records
+// the block's position in the partition data region: compressed blocks are
+// variable-length, so offsets cannot be derived from row counts.
 type segV2Zone struct {
 	count    int
 	crc      uint32
@@ -102,13 +115,11 @@ type segV2Zone struct {
 	maxSubj  uint32
 	minObj   uint32
 	maxObj   uint32
-
-	// v3 only:
-	subjTri uint64 // trigram filter over subject entities' attribute values
-	objTri  uint64 // trigram filter over object entities' attribute values
-	dataOff uint64 // block offset relative to the partition data region
-	dataLen uint32 // stored (possibly compressed) block length
-	rawLen  uint32 // encoded length before byte compression
+	subjTri  uint64 // trigram filter over subject entities' attribute values
+	objTri   uint64 // trigram filter over object entities' attribute values
+	dataOff  uint64 // block offset relative to the partition data region
+	dataLen  uint32 // stored (possibly compressed) block length
+	rawLen   uint32 // encoded length before byte compression
 }
 
 // segV2Meta is a partition's decoded metadata: everything a scan needs to
@@ -174,15 +185,11 @@ type segV2Part struct {
 // without triggering a decode.
 func (pi *segV2Part) peekMeta() *segV2Meta { return pi.meta.Load() }
 
-// segmentV2File is an opened columnar segment — v2 (raw blocks) or v3
-// (compressed blocks; see segment_v3.go) — header and directory eagerly,
-// the payload memory-mapped on first use and partition metadata decoded on
-// first scan. The two versions share every structure except the zone
-// encoding and the block codec, so one type serves both, dispatching on
-// version where they differ.
+// segmentV2File is an opened segment: header and directory eagerly, the
+// payload memory-mapped on first use and partition metadata decoded on
+// first scan.
 type segmentV2File struct {
 	path      string
-	version   int // 2 or 3
 	firstSeq  uint64
 	lastSeq   uint64
 	nEntities int
@@ -227,24 +234,15 @@ func (sf *segmentV2File) unmap() {
 	sf.mapped = false
 }
 
-// writeSegmentV2 compacts one batch of entities and events into an
-// immutable v2 segment file in dir, returning it opened (header +
-// directory, payload unmapped). The partitioning, sort order, and posting
-// semantics match v1's writeSegment exactly; only the encoding differs.
-func writeSegmentV2(dir string, firstSeq, lastSeq uint64, entities []types.Entity, events []types.Event) (*segmentV2File, error) {
-	return writeSegmentCols(dir, firstSeq, lastSeq, entities, events, 2, nil)
-}
-
-// writeSegmentCols is the shared columnar writer behind writeSegmentV2 and
-// writeSegmentV3. lookup resolves entity ids the batch itself does not
-// carry (events referencing entities sealed in earlier segments) so the v3
-// attribute zone maps can cover them; ids neither the batch nor lookup
-// resolve saturate their block's filter instead of weakening it.
-func writeSegmentCols(dir string, firstSeq, lastSeq uint64, entities []types.Entity, events []types.Event, version int, lookup func(types.EntityID) *types.Entity) (*segmentV2File, error) {
-	magic := segV2Magic
-	if version >= 3 {
-		magic = segV3Magic
-	}
+// writeSegment compacts one batch of entities and events — everything a
+// WAL range [firstSeq, lastSeq] carried — into an immutable segment file in
+// dir, returning it opened (header + directory, payload unmapped). Events
+// are partitioned by (agent, day) and sorted exactly as the in-memory store
+// holds them. lookup resolves entity ids the batch itself does not carry
+// (events referencing entities sealed in earlier segments) so the attribute
+// zone maps can cover them; ids neither the batch nor lookup resolve
+// saturate their block's filter instead of weakening it.
+func writeSegment(dir string, firstSeq, lastSeq uint64, entities []types.Entity, events []types.Event, lookup func(types.EntityID) *types.Entity) (*segmentV2File, error) {
 	parts := make(map[partKey][]types.Event)
 	for i := range events {
 		ev := &events[i]
@@ -262,43 +260,29 @@ func writeSegmentCols(dir string, firstSeq, lastSeq uint64, entities []types.Ent
 		return keys[i].agent < keys[j].agent
 	})
 
-	var resolve func(types.EntityID) *types.Entity
-	if version >= 3 {
-		byID := make(map[types.EntityID]*types.Entity, len(entities))
-		for i := range entities {
-			byID[entities[i].ID] = &entities[i]
+	byID := make(map[types.EntityID]*types.Entity, len(entities))
+	for i := range entities {
+		byID[entities[i].ID] = &entities[i]
+	}
+	resolve := func(id types.EntityID) *types.Entity {
+		if e, ok := byID[id]; ok {
+			return e
 		}
-		resolve = func(id types.EntityID) *types.Entity {
-			if e, ok := byID[id]; ok {
-				return e
-			}
-			if lookup != nil {
-				return lookup(id)
-			}
-			return nil
+		if lookup != nil {
+			return lookup(id)
 		}
+		return nil
 	}
 
-	type builtPart struct {
-		info segV2PartInfo
-		meta []byte
-		data []byte
-	}
-	built := make([]builtPart, 0, len(keys))
+	built := make([]v2PartBuild, 0, len(keys))
 	for _, k := range keys {
 		evs := parts[k]
 		sort.Slice(evs, func(i, j int) bool { return eventLess(&evs[i], &evs[j]) })
-		var bp v2PartBuild
-		var err error
-		if version >= 3 {
-			bp, err = buildV3Partition(k, evs, resolve)
-		} else {
-			bp, err = buildV2Partition(k, evs)
-		}
+		bp, err := buildV3Partition(k, evs, resolve)
 		if err != nil {
 			return nil, err
 		}
-		built = append(built, builtPart{info: bp.info, meta: bp.meta, data: bp.data})
+		built = append(built, bp)
 	}
 
 	// Assign offsets: header | directory | meta+data per partition | entities.
@@ -334,7 +318,7 @@ func writeSegmentCols(dir string, firstSeq, lastSeq uint64, entities []types.Ent
 	}
 
 	hdr := make([]byte, 0, segHeaderLen)
-	hdr = append(hdr, magic...)
+	hdr = append(hdr, segV3Magic...)
 	hdr = binary.LittleEndian.AppendUint64(hdr, firstSeq)
 	hdr = binary.LittleEndian.AppendUint64(hdr, lastSeq)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(built)))
@@ -373,10 +357,13 @@ func writeSegmentCols(dir string, firstSeq, lastSeq uint64, entities []types.Ent
 	if err := f.Close(); err != nil {
 		return nil, fmt.Errorf("storage: segment: %w", err)
 	}
-	// Validate before the rename makes the file authoritative — same
-	// contract as v1: a failure leaves a sweepable .tmp, never a renamed
-	// file the caller failed to track.
-	sf, err := openSegmentCols(tmp, magic, version)
+	// Validate the file BEFORE the rename makes it authoritative: once a
+	// parsed segment exists its WAL range can be deleted, so any failure
+	// from here on must leave either a sweepable .tmp or a good segment —
+	// never a renamed file the caller failed to track (a silently retried
+	// compaction would then write an overlapping segment and recovery
+	// would apply the range twice).
+	sf, err := openSegment(tmp)
 	if err != nil {
 		return nil, err
 	}
@@ -391,173 +378,37 @@ func writeSegmentCols(dir string, firstSeq, lastSeq uint64, entities []types.Ent
 	return sf, nil
 }
 
+// v2PartBuild is one encoded partition: its directory entry (offsets still
+// unassigned), meta region and data region.
 type v2PartBuild struct {
 	info segV2PartInfo
 	meta []byte
 	data []byte
 }
 
-// buildV2Partition encodes one sorted partition into its meta and data
-// regions.
-func buildV2Partition(k partKey, evs []types.Event) (v2PartBuild, error) {
-	n := len(evs)
-	// Dictionary: sorted unique subject ∪ object ids.
-	idSet := make(map[types.EntityID]struct{}, n)
-	for i := range evs {
-		idSet[evs[i].Subject] = struct{}{}
-		idSet[evs[i].Object] = struct{}{}
+// syncDir fsyncs a directory so a just-renamed file survives a power cut.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("storage: %w", err)
 	}
-	dict := make([]types.EntityID, 0, len(idSet))
-	for id := range idSet {
-		dict = append(dict, id)
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("storage: sync %s: %w", dir, err)
 	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
-	slot := make(map[types.EntityID]uint32, len(dict))
-	for i, id := range dict {
-		slot[id] = uint32(i)
-	}
-
-	// Posting lists: event positions per dict entry, naturally ascending
-	// because events are appended in sorted order.
-	subjPos := make([][]uint32, len(dict))
-	objPos := make([][]uint32, len(dict))
-	for i := range evs {
-		s, o := slot[evs[i].Subject], slot[evs[i].Object]
-		subjPos[s] = append(subjPos[s], uint32(i))
-		objPos[o] = append(objPos[o], uint32(i))
-	}
-
-	// Blocks + zone maps.
-	nBlocks := (n + segV2BlockRows - 1) / segV2BlockRows
-	zones := make([]segV2Zone, 0, nBlocks)
-	data := make([]byte, 0, n*segV2RowBytes)
-	for lo := 0; lo < n; lo += segV2BlockRows {
-		hi := lo + segV2BlockRows
-		if hi > n {
-			hi = n
-		}
-		block := evs[lo:hi]
-		z := segV2Zone{
-			count:    len(block),
-			minStart: block[0].Start,
-			maxStart: block[len(block)-1].Start,
-			minSubj:  slot[block[0].Subject],
-			minObj:   slot[block[0].Object],
-		}
-		z.maxSubj, z.maxObj = z.minSubj, z.minObj
-		for i := range block {
-			ev := &block[i]
-			z.ops = z.ops.Add(ev.Op)
-			s, o := slot[ev.Subject], slot[ev.Object]
-			if s < z.minSubj {
-				z.minSubj = s
-			}
-			if s > z.maxSubj {
-				z.maxSubj = s
-			}
-			if o < z.minObj {
-				z.minObj = o
-			}
-			if o > z.maxObj {
-				z.maxObj = o
-			}
-		}
-		if delta := z.maxStart - z.minStart; delta < 0 || delta > int64(^uint32(0)) {
-			return v2PartBuild{}, fmt.Errorf("storage: segment: partition (%d,%d) start span %d overflows delta encoding", k.agent, k.day, delta)
-		}
-		bb := make([]byte, 0, len(block)*segV2RowBytes)
-		for i := range block {
-			bb = binary.LittleEndian.AppendUint32(bb, uint32(block[i].Start-z.minStart))
-		}
-		for i := range block {
-			bb = binary.LittleEndian.AppendUint64(bb, uint64(block[i].End))
-		}
-		for i := range block {
-			bb = binary.LittleEndian.AppendUint64(bb, uint64(block[i].ID))
-		}
-		for i := range block {
-			bb = binary.LittleEndian.AppendUint64(bb, block[i].Seq)
-		}
-		for i := range block {
-			bb = binary.LittleEndian.AppendUint64(bb, uint64(block[i].Amount))
-		}
-		for i := range block {
-			bb = binary.LittleEndian.AppendUint64(bb, uint64(int64(block[i].FailCode)))
-		}
-		for i := range block {
-			bb = binary.LittleEndian.AppendUint32(bb, slot[block[i].Subject])
-		}
-		for i := range block {
-			bb = binary.LittleEndian.AppendUint32(bb, slot[block[i].Object])
-		}
-		for i := range block {
-			bb = append(bb, byte(block[i].Op))
-		}
-		z.crc = crc32.Checksum(bb, castagnoli)
-		zones = append(zones, z)
-		data = append(data, bb...)
-	}
-
-	// Meta region: dict | zones | bounds | posts.
-	meta := make([]byte, 0, len(dict)*8+nBlocks*segV2ZoneBytes+(2*len(dict)+1)*4+2*n*4)
-	for _, id := range dict {
-		meta = binary.LittleEndian.AppendUint64(meta, uint64(id))
-	}
-	for i := range zones {
-		z := &zones[i]
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(z.count))
-		meta = binary.LittleEndian.AppendUint32(meta, z.crc)
-		meta = binary.LittleEndian.AppendUint64(meta, uint64(z.minStart))
-		meta = binary.LittleEndian.AppendUint64(meta, uint64(z.maxStart))
-		meta = binary.LittleEndian.AppendUint16(meta, uint16(z.ops))
-		meta = binary.LittleEndian.AppendUint32(meta, z.minSubj)
-		meta = binary.LittleEndian.AppendUint32(meta, z.maxSubj)
-		meta = binary.LittleEndian.AppendUint32(meta, z.minObj)
-		meta = binary.LittleEndian.AppendUint32(meta, z.maxObj)
-	}
-	bound := uint32(0)
-	meta = binary.LittleEndian.AppendUint32(meta, bound)
-	for i := range dict {
-		bound += uint32(len(subjPos[i]))
-		meta = binary.LittleEndian.AppendUint32(meta, bound)
-		bound += uint32(len(objPos[i]))
-		meta = binary.LittleEndian.AppendUint32(meta, bound)
-	}
-	for i := range dict {
-		for _, p := range subjPos[i] {
-			meta = binary.LittleEndian.AppendUint32(meta, p)
-		}
-		for _, p := range objPos[i] {
-			meta = binary.LittleEndian.AppendUint32(meta, p)
-		}
-	}
-
-	return v2PartBuild{
-		info: segV2PartInfo{
-			key:      k,
-			nEvents:  n,
-			nBlocks:  nBlocks,
-			nDict:    len(dict),
-			metaCRC:  crc32.Checksum(meta, castagnoli),
-			minStart: evs[0].Start,
-			maxStart: evs[n-1].Start,
-		},
-		meta: meta,
-		data: data,
-	}, nil
+	return nil
 }
 
-// openSegmentV2 reads a v2 segment's header and directory only, bounding
-// and cross-checking every count and offset so later lazy loads can trust
-// the directory arithmetic.
-func openSegmentV2(path string) (*segmentV2File, error) {
-	return openSegmentCols(path, segV2Magic, 2)
+func segFileName(first, last uint64) string {
+	return fmt.Sprintf("seg-%016x-%016x.seg", first, last)
 }
 
-// openSegmentCols is the shared open path behind openSegmentV2 and
-// openSegmentV3: identical header and directory layout, version-specific
-// per-partition arithmetic.
-func openSegmentCols(path, magic string, version int) (*segmentV2File, error) {
+// openSegment reads a segment's header and directory only, bounding and
+// cross-checking every count and offset so later lazy loads can trust the
+// directory arithmetic. A file with any other magic — the retired v1 row
+// and v2 uncompressed formats included — is refused as corrupt: opening a
+// store with a silently shorter history would be worse.
+func openSegment(path string) (*segmentV2File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: segment: %w", err)
@@ -572,12 +423,11 @@ func openSegmentCols(path, magic string, version int) (*segmentV2File, error) {
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return nil, corruptf(path, "short header: %v", err)
 	}
-	if string(hdr[:8]) != magic {
-		return nil, corruptf(path, "bad magic")
+	if string(hdr[:8]) != segV3Magic {
+		return nil, corruptf(path, "bad magic %q: unsupported segment format, want %q", hdr[:8], segV3Magic)
 	}
 	sf := &segmentV2File{
 		path:      path,
-		version:   version,
 		firstSeq:  binary.LittleEndian.Uint64(hdr[8:]),
 		lastSeq:   binary.LittleEndian.Uint64(hdr[16:]),
 		nEntities: int(binary.LittleEndian.Uint32(hdr[28:])),
@@ -585,10 +435,14 @@ func openSegmentCols(path, magic string, version int) (*segmentV2File, error) {
 		entityLen: binary.LittleEndian.Uint64(hdr[40:]),
 		entityCRC: binary.LittleEndian.Uint32(hdr[48:]),
 	}
+	// The header itself carries no checksum, so every size/offset in it is
+	// untrusted until bounded against the actual file: a flipped bit in a
+	// length field must be a clean corruption error here, not a huge
+	// allocation (OOM) at load time.
 	if sf.entityOff > size || sf.entityLen > size-sf.entityOff {
 		return nil, corruptf(path, "entity block [%d,+%d) exceeds file size %d", sf.entityOff, sf.entityLen, size)
 	}
-	if uint64(sf.nEntities) > sf.entityLen {
+	if uint64(sf.nEntities) > sf.entityLen { // an entity encodes to >= 21 bytes
 		return nil, corruptf(path, "implausible entity count %d for %d-byte block", sf.nEntities, sf.entityLen)
 	}
 	nParts := int(binary.LittleEndian.Uint32(hdr[24:]))
@@ -621,19 +475,19 @@ func openSegmentCols(path, magic string, version int) (*segmentV2File, error) {
 		pi.metaLen = binary.LittleEndian.Uint64(b[56:])
 		pi.dataOff = binary.LittleEndian.Uint64(b[64:])
 		pi.dataLen = binary.LittleEndian.Uint64(b[72:])
-		if err := checkV2PartInfo(path, pi, size, version); err != nil {
+		if err := checkV2PartInfo(path, pi, size); err != nil {
 			return nil, err
 		}
 	}
 	return sf, nil
 }
 
-// checkV2PartInfo verifies one directory entry's internal arithmetic: all
-// lengths are functions of the counts, all regions sit inside the file.
-// v3 data regions are variable-length (compressed), so their length is
+// checkV2PartInfo verifies one directory entry's internal arithmetic: the
+// meta length is a function of the counts and all regions sit inside the
+// file. Data regions are variable-length (compressed), so their length is
 // bounded rather than exact; the per-zone offsets are validated against it
 // when the meta region decodes.
-func checkV2PartInfo(path string, pi *segV2Part, size uint64, version int) error {
+func checkV2PartInfo(path string, pi *segV2Part, size uint64) error {
 	at := func(format string, args ...any) error {
 		return corruptf(path, "partition (%d,%d): %s", pi.key.agent, pi.key.day, fmt.Sprintf(format, args...))
 	}
@@ -649,24 +503,15 @@ func checkV2PartInfo(path string, pi *segV2Part, size uint64, version int) error
 	if pi.minStart > pi.maxStart {
 		return at("time range inverted")
 	}
-	zoneBytes := uint64(segV2ZoneBytes)
-	if version >= 3 {
-		zoneBytes = segV3ZoneBytes
-	}
-	wantMeta := uint64(pi.nDict)*8 + uint64(pi.nBlocks)*zoneBytes + uint64(2*pi.nDict+1)*4 + uint64(2*pi.nEvents)*4
+	wantMeta := uint64(pi.nDict)*8 + uint64(pi.nBlocks)*segV3ZoneBytes + uint64(2*pi.nDict+1)*4 + uint64(2*pi.nEvents)*4
 	if pi.metaLen != wantMeta {
 		return at("meta length %d, want %d", pi.metaLen, wantMeta)
 	}
-	if version >= 3 {
-		// Compressed blocks are variable-length: bound the region instead of
-		// equating it. Each block stores at least its flag byte, at most the
-		// flag plus an encoding that never exceeds segV3MaxRowEnc per row.
-		maxData := uint64(pi.nEvents)*segV3MaxRowEnc + uint64(pi.nBlocks)
-		if pi.dataLen < uint64(pi.nBlocks) || pi.dataLen > maxData {
-			return at("data length %d outside [%d,%d]", pi.dataLen, pi.nBlocks, maxData)
-		}
-	} else if wantData := uint64(pi.nEvents) * segV2RowBytes; pi.dataLen != wantData {
-		return at("data length %d, want %d", pi.dataLen, wantData)
+	// Each block stores at least its flag byte, at most the flag plus an
+	// encoding that never exceeds segV3MaxRowEnc per row.
+	maxData := uint64(pi.nEvents)*segV3MaxRowEnc + uint64(pi.nBlocks)
+	if pi.dataLen < uint64(pi.nBlocks) || pi.dataLen > maxData {
+		return at("data length %d outside [%d,%d]", pi.dataLen, pi.nBlocks, maxData)
 	}
 	if pi.metaOff > size || pi.metaLen > size-pi.metaOff {
 		return at("meta region [%d,+%d) exceeds file size %d", pi.metaOff, pi.metaLen, size)
@@ -733,15 +578,12 @@ func (sf *segmentV2File) decodeMeta(pi *segV2Part) (*segV2Meta, error) {
 		z.maxSubj = binary.LittleEndian.Uint32(raw[off+30:])
 		z.minObj = binary.LittleEndian.Uint32(raw[off+34:])
 		z.maxObj = binary.LittleEndian.Uint32(raw[off+38:])
-		off += segV2ZoneBytes
-		if sf.version >= 3 {
-			z.subjTri = binary.LittleEndian.Uint64(raw[off:])
-			z.objTri = binary.LittleEndian.Uint64(raw[off+8:])
-			z.dataOff = binary.LittleEndian.Uint64(raw[off+16:])
-			z.dataLen = binary.LittleEndian.Uint32(raw[off+24:])
-			z.rawLen = binary.LittleEndian.Uint32(raw[off+28:])
-			off += segV3ZoneBytes - segV2ZoneBytes
-		}
+		z.subjTri = binary.LittleEndian.Uint64(raw[off+42:])
+		z.objTri = binary.LittleEndian.Uint64(raw[off+50:])
+		z.dataOff = binary.LittleEndian.Uint64(raw[off+58:])
+		z.dataLen = binary.LittleEndian.Uint32(raw[off+66:])
+		z.rawLen = binary.LittleEndian.Uint32(raw[off+70:])
+		off += segV3ZoneBytes
 		if z.count <= 0 || z.count > segV2BlockRows {
 			return nil, at("block %d: implausible row count %d", i, z.count)
 		}
@@ -755,30 +597,28 @@ func (sf *segmentV2File) decodeMeta(pi *segV2Part) (*segV2Meta, error) {
 			z.minObj > z.maxObj || int(z.maxObj) >= pi.nDict {
 			return nil, at("block %d: zone dictionary range out of bounds", i)
 		}
-		if sf.version >= 3 {
-			// Stored blocks must tile the data region exactly; the raw
-			// (decompressed) length is bounded per row so a corrupt zone can
-			// never request an unbounded allocation.
-			if z.dataOff != nextDataOff {
-				return nil, at("block %d: data offset %d, want %d", i, z.dataOff, nextDataOff)
-			}
-			if z.dataLen < 1 || uint64(z.dataLen) > pi.dataLen-z.dataOff {
-				return nil, at("block %d: stored length %d exceeds data region", i, z.dataLen)
-			}
-			if z.rawLen < 1 || int(z.rawLen) > z.count*segV3MaxRowEnc {
-				return nil, at("block %d: implausible raw length %d for %d rows", i, z.rawLen, z.count)
-			}
-			if z.dataLen > z.rawLen+1 {
-				return nil, at("block %d: stored length %d exceeds raw length %d", i, z.dataLen, z.rawLen)
-			}
-			nextDataOff += uint64(z.dataLen)
+		// Stored blocks must tile the data region exactly; the raw
+		// (decompressed) length is bounded per row so a corrupt zone can
+		// never request an unbounded allocation.
+		if z.dataOff != nextDataOff {
+			return nil, at("block %d: data offset %d, want %d", i, z.dataOff, nextDataOff)
 		}
+		if z.dataLen < 1 || uint64(z.dataLen) > pi.dataLen-z.dataOff {
+			return nil, at("block %d: stored length %d exceeds data region", i, z.dataLen)
+		}
+		if z.rawLen < 1 || int(z.rawLen) > z.count*segV3MaxRowEnc {
+			return nil, at("block %d: implausible raw length %d for %d rows", i, z.rawLen, z.count)
+		}
+		if z.dataLen > z.rawLen+1 {
+			return nil, at("block %d: stored length %d exceeds raw length %d", i, z.dataLen, z.rawLen)
+		}
+		nextDataOff += uint64(z.dataLen)
 		total += z.count
 	}
 	if total != pi.nEvents {
 		return nil, at("zone row counts sum to %d, want %d", total, pi.nEvents)
 	}
-	if sf.version >= 3 && nextDataOff != pi.dataLen {
+	if nextDataOff != pi.dataLen {
 		return nil, at("blocks cover %d data bytes, want %d", nextDataOff, pi.dataLen)
 	}
 	if m.zones[0].minStart != pi.minStart || m.zones[len(m.zones)-1].maxStart != pi.maxStart {
@@ -831,7 +671,7 @@ type blockCols struct {
 	obj     []uint32
 	ops     []types.Op
 
-	// v3 decode scratch: decompression target and bit-unpack buffer, reused
+	// Decode scratch: decompression target and bit-unpack buffer, reused
 	// across blocks like the columns themselves.
 	enc         []byte
 	packScratch []uint32
@@ -908,110 +748,56 @@ func (c *blockCols) event(i int, m *segV2Meta, ev *types.Event) {
 	ev.FailCode = int(c.fails[i])
 }
 
-// blockRange returns the partition-relative row range [lo, hi) of block b.
-func blockRange(m *segV2Meta, b int) (int, int) {
-	lo := 0
-	for i := 0; i < b; i++ {
-		lo += m.zones[i].count
+// readEntities reads, verifies and decodes the segment's entity block
+// through a file handle (called at open, before any mapping exists).
+func (sf *segmentV2File) readEntities() ([]types.Entity, error) {
+	f, err := os.Open(sf.path)
+	if err != nil {
+		return nil, fmt.Errorf("storage: segment: %w", err)
 	}
-	return lo, lo + m.zones[b].count
+	defer f.Close()
+	return readEntityBlock(sf.path, f, sf.entityOff, sf.entityLen, sf.entityCRC, sf.nEntities)
 }
 
-// decodeBlock verifies and decodes block b of a partition into cols. It
-// checks everything the zone map promised about the block — checksum,
-// delta monotonicity within the zone's time range, dictionary indexes in
-// the advertised range, valid operation codes in the advertised set — so a
-// zone map inconsistent with its block is a typed corruption error, not a
-// silently wrong prune.
-func (sf *segmentV2File) decodeBlock(pi *segV2Part, m *segV2Meta, b int, rowBase int, cols *blockCols) error {
+// readEntityBlock reads, verifies and decodes an entity block.
+func readEntityBlock(path string, f *os.File, off, length uint64, wantCRC uint32, n int) ([]types.Entity, error) {
+	block := make([]byte, length)
+	if _, err := f.ReadAt(block, int64(off)); err != nil {
+		return nil, corruptf(path, "read entities: %v", err)
+	}
+	if crc32.Checksum(block, castagnoli) != wantCRC {
+		return nil, corruptf(path, "entity checksum mismatch")
+	}
+	d := &decoder{b: block}
+	entities := make([]types.Entity, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		entities = append(entities, d.entity())
+	}
+	if d.err != nil {
+		return nil, corruptf(path, "entities: %v", d.err)
+	}
+	if d.off != len(block) {
+		return nil, corruptf(path, "entities: trailing bytes")
+	}
+	return entities, nil
+}
+
+// install maps the file read-only and registers each partition as a cold
+// run: no event is decoded, so recovery touches headers and the entity
+// block only, and later scans decode just the blocks their predicates can
+// match. Cold runs covering the same (agent, day) must arrive oldest-first
+// for the pointer hand-off fast path, so callers install segments
+// sequentially in firstSeq order — the work per segment is trivial.
+func (sf *segmentV2File) install(s *Store) error {
 	if err := sf.ensureMapped(); err != nil {
 		return err
 	}
-	if sf.version >= 3 {
-		return sf.decodeBlockV3(pi, m, b, cols)
-	}
-	at := func(format string, args ...any) error {
-		return corruptf(sf.path, "partition (%d,%d) block %d: %s", pi.key.agent, pi.key.day, b, fmt.Sprintf(format, args...))
-	}
-	z := &m.zones[b]
-	n := z.count
-	off := pi.dataOff + uint64(rowBase)*segV2RowBytes
-	length := uint64(n) * segV2RowBytes
-	if off+length > uint64(len(sf.data)) {
-		return at("exceeds mapped size %d", len(sf.data))
-	}
-	raw := sf.data[off : off+length]
-	if crc32.Checksum(raw, castagnoli) != z.crc {
-		return at("checksum mismatch")
-	}
-	cols.reset(n, pi.key.agent)
-	p := 0
-	prev := int64(-1)
-	span := z.maxStart - z.minStart
-	for i := 0; i < n; i++ {
-		delta := int64(binary.LittleEndian.Uint32(raw[p:]))
-		p += 4
-		if delta > span {
-			return at("row %d: start outside zone time range", i)
+	for i := range sf.parts {
+		if err := s.installColdRun(sf, &sf.parts[i]); err != nil {
+			return err
 		}
-		start := z.minStart + delta
-		if start < prev {
-			return at("row %d: starts not sorted", i)
-		}
-		prev = start
-		cols.starts[i] = start
-	}
-	for i := 0; i < n; i++ {
-		cols.ends[i] = int64(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	}
-	for i := 0; i < n; i++ {
-		cols.ids[i] = int64(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	}
-	for i := 0; i < n; i++ {
-		cols.seqs[i] = int64(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	}
-	for i := 0; i < n; i++ {
-		cols.amounts[i] = int64(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	}
-	for i := 0; i < n; i++ {
-		cols.fails[i] = int64(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	}
-	for i := 0; i < n; i++ {
-		s := binary.LittleEndian.Uint32(raw[p:])
-		p += 4
-		if s < z.minSubj || s > z.maxSubj {
-			return at("row %d: out-of-range dictionary index %d", i, s)
-		}
-		cols.subj[i] = s
-	}
-	for i := 0; i < n; i++ {
-		o := binary.LittleEndian.Uint32(raw[p:])
-		p += 4
-		if o < z.minObj || o > z.maxObj {
-			return at("row %d: out-of-range dictionary index %d", i, o)
-		}
-		cols.obj[i] = o
-	}
-	for i := 0; i < n; i++ {
-		op := types.Op(raw[p])
-		p++
-		if !z.ops.Contains(op) {
-			return at("row %d: operation %d outside zone op set", i, op)
-		}
-		cols.ops[i] = op
 	}
 	return nil
-}
-
-// loadEntities reads, verifies and decodes the entity block via the file
-// handle (called at open, before any mapping exists).
-func (sf *segmentV2File) loadEntities(f *os.File) ([]types.Entity, error) {
-	return readEntityBlock(sf.path, f, sf.entityOff, sf.entityLen, sf.entityCRC, sf.nEntities)
 }
 
 // events returns the total event count across the segment's partitions.

@@ -13,49 +13,32 @@ import (
 const benchSegRows = 50000
 
 // BenchmarkSegmentInstall measures making a recovered store queryable from
-// one sealed segment: v1 decodes every row and rebuilds postings eagerly;
-// v2 reads the directory and installs mmap-backed cold runs, deferring all
-// block decoding to the first scan that needs it.
+// one sealed segment: the directory is read and the partitions install as
+// mmap-backed cold runs, deferring all block decoding to the first scan
+// that needs it.
 func BenchmarkSegmentInstall(b *testing.B) {
 	entities, events := v2TestData(benchSegRows)
-	b.Run("v1-rows", func(b *testing.B) {
-		sf, err := writeSegment(b.TempDir(), 1, uint64(len(events)), entities, events)
-		if err != nil {
+	sf, err := writeSegment(b.TempDir(), 1, uint64(len(events)), entities, events, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(sf.unmap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := New(Options{})
+		st.Ingest(&types.Dataset{Entities: entities})
+		if err := sf.install(st); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st := New(Options{})
-			st.Ingest(&types.Dataset{Entities: entities})
-			if err := sf.install(st); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("v2-columnar", func(b *testing.B) {
-		sf, err := writeSegmentV2(b.TempDir(), 1, uint64(len(events)), entities, events)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(sf.unmap)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st := New(Options{})
-			st.Ingest(&types.Dataset{Entities: entities})
-			if err := sf.install(st); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkSegmentScan measures a narrow-window scan (2 of ~49 blocks hold
-// matching times) three ways: against the v2 cold path with zone maps
-// pruning non-matching blocks, against the same data with pruning disabled
-// (every block decoded, rows filtered individually), and against a fully
-// hot store — the eager-decode world every scan paid for before v2.
+// matching times) three ways: against the cold path with zone maps pruning
+// non-matching blocks, against the same data with pruning disabled (every
+// block decoded, rows filtered individually), and against a fully hot
+// store.
 func BenchmarkSegmentScan(b *testing.B) {
 	entities, events := v2TestData(benchSegRows)
 	q := &DataQuery{
@@ -77,7 +60,7 @@ func BenchmarkSegmentScan(b *testing.B) {
 	}
 	coldStore := func(b *testing.B, opts Options) *Store {
 		b.Helper()
-		sf, err := writeSegmentV2(b.TempDir(), 1, uint64(len(events)), entities, events)
+		sf, err := writeSegment(b.TempDir(), 1, uint64(len(events)), entities, events, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,10 +73,10 @@ func BenchmarkSegmentScan(b *testing.B) {
 		return st
 	}
 
-	b.Run("v2-zonemap-pruned", func(b *testing.B) {
+	b.Run("zonemap-pruned", func(b *testing.B) {
 		runScan(b, coldStore(b, Options{}))
 	})
-	b.Run("v2-full-decode", func(b *testing.B) {
+	b.Run("full-decode", func(b *testing.B) {
 		runScan(b, coldStore(b, Options{DisableZoneMaps: true}))
 	})
 	b.Run("hot-rows", func(b *testing.B) {

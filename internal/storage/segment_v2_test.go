@@ -58,7 +58,7 @@ func v2TestData(n int) ([]types.Entity, []types.Event) {
 // into a fresh store as cold runs (entities hot, events cold).
 func coldStoreFrom(t *testing.T, dir string, opts Options, entities []types.Entity, events []types.Event) (*Store, *segmentV2File) {
 	t.Helper()
-	sf, err := writeSegmentV3(dir, 1, uint64(len(events)), entities, events, nil)
+	sf, err := writeSegment(dir, 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
 		t.Fatalf("writeSegmentV3: %v", err)
 	}
@@ -167,7 +167,7 @@ func resealMeta(t *testing.T, raw []byte) {
 // damaged blocks cannot hide behind the pruning the damage itself
 // corrupted.
 func readBackSegment(path string, entities []types.Entity) ([]Match, error) {
-	seg, err := openSegmentAny(path)
+	seg, err := openSegment(path)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func readBackSegment(path string, entities []types.Entity) ([]Match, error) {
 	if err := seg.install(st); err != nil {
 		return nil, err
 	}
-	defer seg.(*segmentV2File).unmap()
+	defer seg.unmap()
 	c := st.Scan(context.Background(), &DataQuery{Ops: types.AllOps()})
 	defer c.Close()
 	got := Drain(c)
@@ -196,7 +196,7 @@ func readBackSegment(path string, entities []types.Entity) ([]Match, error) {
 func TestSegmentV2CorruptionMatrix(t *testing.T) {
 	entities, events := v2TestData(2500)
 	dir := t.TempDir()
-	sf, err := writeSegmentV3(dir, 1, uint64(len(events)), entities, events, nil)
+	sf, err := writeSegment(dir, 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,247 +392,4 @@ func TestZoneMapPruningDifferentialStorage(t *testing.T) {
 		t.Fatalf("pruned store decoded %d blocks, exhaustive %d — pruning saved nothing",
 			ps.BlocksDecoded, es.BlocksDecoded)
 	}
-}
-
-// TestRewriteLegacySegments upgrades a store whose segments were written in
-// the v1 row format and requires the reopened store to be identical, now
-// serving from columnar files.
-func TestRewriteLegacySegments(t *testing.T) {
-	ds := gen.Scenario(gen.SmallConfig())
-	batches := splitDataset(ds, 4)
-	want := memStoreOf(batches)
-	dir := t.TempDir()
-
-	legacy := persistOpts()
-	legacy.LegacySegmentV1 = true
-	p := openOrFatal(t, dir, legacy)
-	for i, b := range batches {
-		if err := p.Ingest(b); err != nil {
-			t.Fatal(err)
-		}
-		if i == 1 {
-			if err := p.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := p.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.DurabilityStats(); st.Segments != 2 || st.SegmentsV2 != 0 {
-		t.Fatalf("legacy store wrote %d segments (%d v2), want 2 v1", st.Segments, st.SegmentsV2)
-	}
-
-	n, err := p.RewriteLegacySegments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("rewrote %d segments, want 2", n)
-	}
-	if st := p.DurabilityStats(); st.SegmentsV2 != 2 {
-		t.Fatalf("segments_v2 = %d after rewrite, want 2", st.SegmentsV2)
-	}
-	// Idempotent: nothing left to rewrite.
-	if n, err := p.RewriteLegacySegments(); err != nil || n != 0 {
-		t.Fatalf("second rewrite = (%d, %v), want (0, nil)", n, err)
-	}
-	assertStoresEqual(t, p.Store, want, "live store after rewrite")
-	p.Close()
-
-	re := openOrFatal(t, dir, persistOpts())
-	if err := re.WarmUp(); err != nil {
-		t.Fatal(err)
-	}
-	if st := re.DurabilityStats(); st.SegmentsV2 != 2 {
-		t.Fatalf("reopened segments_v2 = %d, want 2", st.SegmentsV2)
-	}
-	assertStoresEqual(t, re.Store, want, "reopened store after rewrite")
-	if stats := re.Store.ScanStats(); stats.BlocksDecoded == 0 {
-		t.Fatal("reopened store answered queries without decoding any cold block")
-	}
-}
-
-// TestCrashDuringRewrite aborts the v1→v2 rewrite at each crash point and
-// requires recovery to rebuild the identical store from whatever mix of
-// formats the crash left — exactly once, no row lost or doubled.
-func TestCrashDuringRewrite(t *testing.T) {
-	ds := gen.Scenario(gen.SmallConfig())
-	batches := splitDataset(ds, 3)
-	want := memStoreOf(batches)
-	crashErr := errors.New("injected crash")
-
-	for _, point := range []string{"rewrite-collected", "rewrite-renamed"} {
-		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			legacy := persistOpts()
-			legacy.LegacySegmentV1 = true
-			p := openOrFatal(t, dir, legacy)
-			for _, b := range batches {
-				if err := p.Ingest(b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := p.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			p.crashHook = func(at string) error {
-				if at == point {
-					return crashErr
-				}
-				return nil
-			}
-			if _, err := p.RewriteLegacySegments(); !errors.Is(err, crashErr) {
-				t.Fatalf("rewrite returned %v, want injected crash", err)
-			}
-			p.unlock() // a dead process drops its flock; the simulation must too
-
-			re := openOrFatal(t, dir, persistOpts())
-			if err := re.WarmUp(); err != nil {
-				t.Fatal(err)
-			}
-			assertStoresEqual(t, re.Store, want, "after crash at "+point)
-
-			// The interrupted upgrade must complete cleanly now.
-			if _, err := re.RewriteLegacySegments(); err != nil {
-				t.Fatal(err)
-			}
-			if st := re.DurabilityStats(); st.SegmentsV2 != st.Segments {
-				t.Fatalf("after recovery rewrite: %d of %d segments v2", st.SegmentsV2, st.Segments)
-			}
-			assertStoresEqual(t, re.Store, want, "after recovery rewrite at "+point)
-		})
-	}
-}
-
-// TestMixedVersionSegmentsAnswerIdentically holds a store serving from a v1
-// and a v2 segment side by side to the all-hot reference.
-func TestMixedVersionSegmentsAnswerIdentically(t *testing.T) {
-	ds := gen.Scenario(gen.SmallConfig())
-	batches := splitDataset(ds, 4)
-	want := memStoreOf(batches)
-	dir := t.TempDir()
-
-	legacy := persistOpts()
-	legacy.LegacySegmentV1 = true
-	p := openOrFatal(t, dir, legacy)
-	for _, b := range batches[:2] {
-		if err := p.Ingest(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-
-	p2 := openOrFatal(t, dir, persistOpts())
-	if err := p2.WarmUp(); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches[2:] {
-		if err := p2.Ingest(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if st := p2.DurabilityStats(); st.Segments != 2 || st.SegmentsV2 != 1 {
-		t.Fatalf("segments = %d (%d v2), want one of each", st.Segments, st.SegmentsV2)
-	}
-	p2.Close()
-
-	re := openOrFatal(t, dir, persistOpts())
-	if err := re.WarmUp(); err != nil {
-		t.Fatal(err)
-	}
-	assertStoresEqual(t, re.Store, want, "mixed v1+v2 store")
-}
-
-// FuzzSegmentV2 is the round-trip and robustness fuzz: a generated dataset
-// must survive write → open → cold scan byte-for-byte, and a one-byte
-// mutation anywhere in the file must produce either identical results or a
-// typed ErrSegmentCorrupt — never a panic and never silent wrong rows
-// beyond the mutated region's blast radius.
-func FuzzSegmentV2(f *testing.F) {
-	f.Add(int64(1), uint16(10), -1, byte(0))
-	f.Add(int64(2), uint16(300), 60, byte(0xFF))
-	f.Add(int64(3), uint16(1500), 200, byte(0x01))
-	f.Add(int64(4), uint16(0), 0, byte(0x80))
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, mutOff int, mutByte byte) {
-		rng := rand.New(rand.NewSource(seed))
-		entities, events := v2TestData(int(n)%2100 + 1)
-		// Shuffle starts across two days and agents so multiple partitions,
-		// unsorted input, and duplicate timestamps are all exercised.
-		for i := range events {
-			events[i].AgentID = 1 + rng.Intn(2)
-			events[i].Start += int64(rng.Intn(3)) * 86_400_000
-			if rng.Intn(4) == 0 {
-				events[i].Start = events[rng.Intn(len(events))].Start
-			}
-		}
-		dir := t.TempDir()
-		sf, err := writeSegmentV2(dir, 1, uint64(len(events)), entities, events)
-		if err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		sf.unmap()
-
-		raw, err := os.ReadFile(sf.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mutated := false
-		if mutOff >= 0 && mutOff < len(raw) && raw[mutOff]^mutByte != raw[mutOff] {
-			raw[mutOff] ^= mutByte
-			mutated = true
-			if err := os.WriteFile(sf.path, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		want := New(Options{})
-		want.Ingest(&types.Dataset{Entities: entities, Events: events})
-		wantMatches := want.Run(context.Background(), &DataQuery{Ops: types.AllOps()})
-
-		err = func() error {
-			seg, err := openSegmentAny(sf.path)
-			if err != nil {
-				return err
-			}
-			if _, err := seg.readEntities(); err != nil {
-				return err
-			}
-			st := New(Options{DisableZoneMaps: true})
-			st.Ingest(&types.Dataset{Entities: entities})
-			if err := seg.install(st); err != nil {
-				return err
-			}
-			defer seg.(*segmentV2File).unmap()
-			c := st.Scan(context.Background(), &DataQuery{Ops: types.AllOps()})
-			defer c.Close()
-			got := Drain(c)
-			if err := c.Err(); err != nil {
-				return err
-			}
-			if len(got) != len(wantMatches) {
-				t.Fatalf("scan returned %d matches, want %d", len(got), len(wantMatches))
-			}
-			for i := range got {
-				if *got[i].Event != *wantMatches[i].Event {
-					t.Fatalf("match %d: %+v, want %+v", i, got[i].Event, wantMatches[i].Event)
-				}
-			}
-			return nil
-		}()
-		if err != nil {
-			if !mutated {
-				t.Fatalf("pristine segment failed: %v", err)
-			}
-			if !errors.Is(err, ErrSegmentCorrupt) {
-				t.Fatalf("mutation produced untyped error: %v", err)
-			}
-		}
-	})
 }

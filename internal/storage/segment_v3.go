@@ -12,20 +12,16 @@ import (
 	"aiql/internal/types"
 )
 
-// Version 3 of the sealed-segment format is v2 with two additions, sharing
-// everything else (header, directory, dictionary, postings, zone maps, mmap
-// lifecycle — see segment_v2.go):
+// Block encoding and attribute zone maps for sealed segments (layout in
+// segment_v2.go):
 //
-//   - Compressed column blocks. The raw v2 column layout is replaced by a
-//     byte-oriented encoding — uvarint start-time deltas, zigzag-varint
-//     residuals for the remaining numeric columns, bit-packed dictionary
-//     indexes and op codes — then the whole encoded block runs through the
-//     small LZ codec in blockcodec.go when that actually shrinks it. Blocks
-//     become variable-length, so each zone additionally records its block's
-//     offset, stored length and raw (pre-compression) length, all
-//     cross-checked at meta decode: stored blocks must tile the data region
-//     exactly and raw lengths are bounded per row, so a corrupt zone can
-//     neither misalign reads nor request an unbounded allocation.
+//   - Compressed column blocks. Each block is byte-encoded — uvarint
+//     start-time deltas, zigzag-varint residuals for the remaining numeric
+//     columns, bit-packed dictionary indexes and op codes — then the whole
+//     encoded block runs through the small LZ codec in blockcodec.go when
+//     that actually shrinks it. Blocks are therefore variable-length, so
+//     each zone records its block's offset, stored length and raw
+//     (pre-compression) length, all cross-checked at meta decode.
 //
 //   - Attribute zone maps. Each zone carries two 64-bit trigram filters,
 //     one over the attribute values of the block's subject entities and one
@@ -35,35 +31,6 @@ import (
 //     lacks one of their trigrams cannot contain a match and is skipped —
 //     the same pruning time and op predicates already get. Entity ids the
 //     writer cannot resolve saturate the filter rather than weaken it.
-//
-// The zone encoding appends to v2's 42 bytes:
-//
-//	subjTri u64 | objTri u64 | dataOff u64 | dataLen u32 | rawLen u32
-//
-// and each stored block is a flag byte (0 = raw, 1 = LZ) followed by the
-// payload, checksummed as stored so the CRC covers exactly the bytes read.
-const (
-	segV3Magic     = "AIQLSEG3"
-	segV3ZoneBytes = segV2ZoneBytes + 8 + 8 + 8 + 4 + 4
-
-	// segV3MaxRowEnc bounds the encoded (pre-compression) size of one row:
-	// 5 (start uvarint) + 5×10 (svarint columns) + 4+4 (packed dict
-	// indexes) + 1 (packed op, worst case whole byte). Meta decode rejects
-	// any zone advertising more — the OOM guard for lazy block decode.
-	segV3MaxRowEnc = 64
-)
-
-// writeSegmentV3 compacts one batch into an immutable v3 (compressed)
-// segment. lookup resolves entity ids the batch does not carry so attribute
-// zone maps can cover events referencing entities sealed earlier.
-func writeSegmentV3(dir string, firstSeq, lastSeq uint64, entities []types.Entity, events []types.Event, lookup func(types.EntityID) *types.Entity) (*segmentV2File, error) {
-	return writeSegmentCols(dir, firstSeq, lastSeq, entities, events, 3, lookup)
-}
-
-// openSegmentV3 reads a v3 segment's header and directory only.
-func openSegmentV3(path string) (*segmentV2File, error) {
-	return openSegmentCols(path, segV3Magic, 3)
-}
 
 // triMask returns the trigram filter bits for every 3-byte window of s.
 // The filter is a plain 64-bit Bloom filter with one hash: false positives
@@ -105,7 +72,7 @@ func requiredTriMask(p pred.Pred) uint64 {
 }
 
 // buildV3Partition encodes one sorted partition into its meta and data
-// regions in the v3 format. resolve maps entity ids to entities for the
+// regions. resolve maps entity ids to entities for the
 // attribute filters; unresolvable ids saturate their block's filter.
 func buildV3Partition(k partKey, evs []types.Event, resolve func(types.EntityID) *types.Entity) (v2PartBuild, error) {
 	n := len(evs)
@@ -205,8 +172,7 @@ func buildV3Partition(k partKey, evs []types.Event, resolve func(types.EntityID)
 		zones = append(zones, z)
 	}
 
-	// Meta region: dict | zones | bounds | posts — same shape as v2, wider
-	// zone entries.
+	// Meta region: dict | zones | bounds | posts.
 	meta := make([]byte, 0, len(dict)*8+nBlocks*segV3ZoneBytes+(2*len(dict)+1)*4+2*n*4)
 	for _, id := range dict {
 		meta = binary.LittleEndian.AppendUint64(meta, uint64(id))
@@ -268,7 +234,8 @@ func opWidth(ops types.OpSet) int {
 }
 
 // encodeV3Block appends the raw (pre-compression) encoding of one sorted
-// block to dst. Column order matches v2; each column picks the cheapest
+// block to dst. Columns are stored in order starts, ends, ids, seqs,
+// amounts, fail codes, subjects, objects, ops; each column picks the cheapest
 // residual its zone metadata lets the reader undo: start times as uvarint
 // deltas off the zone minimum, ends relative to their row's start, ids and
 // seqs as delta chains (both ascend in practice), amounts and fail codes as
@@ -316,12 +283,16 @@ func encodeV3Block(dst []byte, block []types.Event, z *segV2Zone, slot map[types
 	return appendPacked(dst, idx, 0, opWidth(z.ops))
 }
 
-// decodeBlockV3 verifies and decodes block b of a v3 partition into cols:
+// decodeBlock verifies and decodes block b of a partition into cols:
 // checksum over the stored bytes, exact raw length after decompression,
-// exact consumption by the column decoders, and every v2 zone promise
-// (start monotonicity and range, dictionary-index range, op-set membership)
-// re-checked on the decoded values.
-func (sf *segmentV2File) decodeBlockV3(pi *segV2Part, m *segV2Meta, b int, cols *blockCols) error {
+// exact consumption by the column decoders, and every zone promise (start
+// monotonicity and range, dictionary-index range, op-set membership)
+// re-checked on the decoded values — so a zone map inconsistent with its
+// block is a typed corruption error, not a silently wrong prune.
+func (sf *segmentV2File) decodeBlock(pi *segV2Part, m *segV2Meta, b int, cols *blockCols) error {
+	if err := sf.ensureMapped(); err != nil {
+		return err
+	}
 	at := func(format string, args ...any) error {
 		return corruptf(sf.path, "partition (%d,%d) block %d: %s", pi.key.agent, pi.key.day, b, fmt.Sprintf(format, args...))
 	}

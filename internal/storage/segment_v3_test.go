@@ -20,19 +20,21 @@ func TestSegmentV3RoundTrip(t *testing.T) {
 	want.Ingest(&types.Dataset{Entities: entities, Events: events})
 
 	got, sf := coldStoreFrom(t, t.TempDir(), Options{}, entities, events)
-	if v := sf.formatVersion(); v != 3 {
-		t.Fatalf("formatVersion = %d, want 3", v)
-	}
 	assertStoresEqual(t, got, want, "v3 cold store")
 
-	// Reopen through the generic dispatcher: the magic must route to v3.
-	seg, err := openSegmentAny(sf.path)
+	// Reopen: the header and directory read back exactly as written.
+	seg, err := openSegment(sf.path)
 	if err != nil {
-		t.Fatalf("openSegmentAny: %v", err)
+		t.Fatalf("openSegment: %v", err)
 	}
-	defer seg.(*segmentV2File).unmap()
-	if v := seg.formatVersion(); v != 3 {
-		t.Fatalf("reopened formatVersion = %d, want 3", v)
+	if seg.firstSeq != sf.firstSeq || seg.lastSeq != sf.lastSeq || len(seg.parts) != len(sf.parts) {
+		t.Fatalf("reopened seq [%d,%d] with %d partitions, wrote [%d,%d] with %d",
+			seg.firstSeq, seg.lastSeq, len(seg.parts), sf.firstSeq, sf.lastSeq, len(sf.parts))
+	}
+	for i := range seg.parts {
+		if seg.parts[i].segV2PartInfo != sf.parts[i].segV2PartInfo {
+			t.Fatalf("partition %d: reopened %+v, wrote %+v", i, seg.parts[i].segV2PartInfo, sf.parts[i].segV2PartInfo)
+		}
 	}
 }
 
@@ -42,7 +44,7 @@ func TestSegmentV3RoundTrip(t *testing.T) {
 // fixed-width row encoding.
 func TestSegmentV3CompressionSavesSpace(t *testing.T) {
 	entities, events := v2TestData(5000)
-	sf, err := writeSegmentV3(t.TempDir(), 1, uint64(len(events)), entities, events, nil)
+	sf, err := writeSegment(t.TempDir(), 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestSegmentV3CompressedCounters(t *testing.T) {
 func TestSegmentV3CorruptionTyped(t *testing.T) {
 	entities, events := v2TestData(2500)
 	dir := t.TempDir()
-	sf, err := writeSegmentV3(dir, 1, uint64(len(events)), entities, events, nil)
+	sf, err := writeSegment(dir, 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestSegmentV3AttrZonePruning(t *testing.T) {
 	}
 
 	pruned, sf := coldStoreFrom(t, t.TempDir(), Options{}, entities, events)
-	sfRe, err := openSegmentV3(sf.path)
+	sfRe, err := openSegment(sf.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,61 +221,7 @@ func TestSegmentV3AttrZonePruning(t *testing.T) {
 	}
 }
 
-// TestMixedV2V3SegmentsAnswerIdentically compacts one half of a dataset
-// under the legacy-v2 escape hatch and the other under the v3 default, then
-// requires the recovered store to equal the uninterrupted in-memory run.
-func TestMixedV2V3SegmentsAnswerIdentically(t *testing.T) {
-	ds := dsForSegTest(t)
-	batches := splitDataset(ds, 4)
-	dir := t.TempDir()
-
-	phase := func(legacyV2 bool, bs []*types.Dataset) {
-		opts := persistOpts()
-		opts.LegacySegmentV2 = legacyV2
-		p := openOrFatal(t, dir, opts)
-		if err := p.WarmUp(); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range bs {
-			if err := p.Ingest(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := p.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		p.Close()
-	}
-	phase(true, batches[:2])
-	phase(false, batches[2:])
-
-	re := openOrFatal(t, dir, persistOpts())
-	if err := re.WarmUp(); err != nil {
-		t.Fatal(err)
-	}
-	st := re.DurabilityStats()
-	if st.Segments != 2 || st.SegmentsV3 != 1 {
-		t.Fatalf("segments = %d (%d v3), want 2 (1 v3)", st.Segments, st.SegmentsV3)
-	}
-	assertStoresEqual(t, re.Store, memStoreOf(batches), "mixed v2+v3 store")
-}
-
-// dsForSegTest adapts v2TestData into a Dataset spread over two agents and
-// days so compaction produces multiple partitions.
-func dsForSegTest(t *testing.T) *types.Dataset {
-	t.Helper()
-	entities, events := v2TestData(2000)
-	rng := rand.New(rand.NewSource(99))
-	for i := range events {
-		events[i].AgentID = 1 + rng.Intn(2)
-		events[i].Start += int64(rng.Intn(2)) * 86_400_000
-	}
-	ents := make([]types.Entity, len(entities))
-	copy(ents, entities)
-	return types.NewDataset(ents, events)
-}
-
-// FuzzSegmentV3 is the v3 counterpart of FuzzSegmentV2: a generated dataset
+// FuzzSegmentV3 is the round-trip and robustness fuzz: a generated dataset
 // must survive write → open → cold scan byte-for-byte, and a one-byte
 // mutation anywhere in the file must produce either identical results or a
 // typed ErrSegmentCorrupt — never a panic and never silent wrong rows.
@@ -293,7 +241,7 @@ func FuzzSegmentV3(f *testing.F) {
 			}
 		}
 		dir := t.TempDir()
-		sf, err := writeSegmentV3(dir, 1, uint64(len(events)), entities, events, nil)
+		sf, err := writeSegment(dir, 1, uint64(len(events)), entities, events, nil)
 		if err != nil {
 			t.Fatalf("write: %v", err)
 		}
@@ -317,7 +265,7 @@ func FuzzSegmentV3(f *testing.F) {
 		wantMatches := want.Run(context.Background(), &DataQuery{Ops: types.AllOps()})
 
 		err = func() error {
-			seg, err := openSegmentAny(sf.path)
+			seg, err := openSegment(sf.path)
 			if err != nil {
 				return err
 			}
@@ -329,7 +277,7 @@ func FuzzSegmentV3(f *testing.F) {
 			if err := seg.install(st); err != nil {
 				return err
 			}
-			defer seg.(*segmentV2File).unmap()
+			defer seg.unmap()
 			c := st.Scan(context.Background(), &DataQuery{Ops: types.AllOps()})
 			defer c.Close()
 			got := Drain(c)
