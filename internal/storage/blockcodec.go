@@ -115,7 +115,7 @@ func (r *byteReader) unpack(n int, base uint32, width int, out []uint32) {
 // (ctrl&0x7F)+lzMinMatch, followed by the uvarint distance (>= 1) back from
 // the current output position. Matches may overlap their own output
 // (run-length encoding falls out for free). There is no window limit — a
-// block's raw form is bounded by segV3BlockRows rows, far under any
+// block's raw form is bounded by segBlockRows rows, far under any
 // practical distance.
 const lzMinMatch = 4
 

@@ -33,11 +33,11 @@ import (
 // coldRun is one sealed segment partition serving as part of a
 // partition's cold prefix.
 type coldRun struct {
-	sf *segmentV2File
-	pi *segV2Part
+	sf *segmentFile
+	pi *segPart
 }
 
-func (r *coldRun) meta() (*segV2Meta, error) { return r.sf.loadMeta(r.pi) }
+func (r *coldRun) meta() (*segMeta, error) { return r.sf.loadMeta(r.pi) }
 
 // decodeAll fully decodes a run into the hot representation: events in
 // order plus posting lists, ready for installPartition or a thaw merge.
@@ -95,7 +95,7 @@ type coldPart struct {
 // cannot hold (the partition already has hot events, or the run overlaps
 // the existing cold prefix), the run decodes and installs through the
 // normal merge path instead.
-func (s *Store) installColdRun(sf *segmentV2File, pi *segV2Part) error {
+func (s *Store) installColdRun(sf *segmentFile, pi *segPart) error {
 	run := &coldRun{sf: sf, pi: pi}
 	s.mu.Lock()
 	p, ok := s.parts[pi.key]
@@ -207,7 +207,7 @@ func (a *eventArena) put(ev types.Event) *types.Event {
 // indexes of one run; ids absent from the dictionary drop out. Returns
 // (nil, false) when the set is unbounded (nil) or too large to be worth
 // mapping.
-func dictIndexSet(cand map[types.EntityID]struct{}, m *segV2Meta) ([]uint32, bool) {
+func dictIndexSet(cand map[types.EntityID]struct{}, m *segMeta) ([]uint32, bool) {
 	const mapLimit = 1024
 	if cand == nil || len(cand) > mapLimit {
 		return nil, false
@@ -265,7 +265,7 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 	}
 
 	// countDecoded records one block decode with its compression traffic.
-	countDecoded := func(z *segV2Zone) {
+	countDecoded := func(z *segZone) {
 		stats.blocksDecoded.Add(1)
 		stats.compressedBytesRead.Add(int64(z.dataLen))
 		stats.compressedBytesDecode.Add(int64(z.rawLen))
@@ -274,7 +274,7 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 	// checkRow mirrors the hot path's check() over column data; it
 	// materializes the event only after every filter passed. evtDone marks
 	// the event predicate as already applied by the vectorized kernel.
-	checkRow := func(m *segV2Meta, i int, evtDone bool) (Match, bool) {
+	checkRow := func(m *segMeta, i int, evtDone bool) (Match, bool) {
 		if windowed && !q.Window.Contains(cols.starts[i]) {
 			return Match{}, false
 		}
@@ -411,7 +411,7 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 			evtVec := false
 			if q.EvtPred != nil && !q.ForceScan {
 				if cap(sel) == 0 {
-					sel = pred.NewBitmap(segV2BlockRows)
+					sel = pred.NewBitmap(segBlockRows)
 				}
 				evtVec = pred.BatchEval(q.EvtPred, &cols, sel)
 			}
@@ -437,7 +437,7 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 
 // coldPostings gathers candidate positions from a run's posting lists,
 // merged ascending.
-func coldPostings(m *segV2Meta, subjCand, objCand map[types.EntityID]struct{}, fromSubject bool) []uint32 {
+func coldPostings(m *segMeta, subjCand, objCand map[types.EntityID]struct{}, fromSubject bool) []uint32 {
 	cand := subjCand
 	if !fromSubject {
 		cand = objCand

@@ -301,7 +301,7 @@ func (p *Persistent) Dir() string { return p.dir }
 func (p *Persistent) WarmUp() error {
 	p.loadOnce.Do(func() {
 		p.segMu.Lock()
-		var segs []*segmentV2File
+		var segs []*segmentFile
 		for _, e := range p.segs {
 			if !e.loaded {
 				e.loaded = true
@@ -328,7 +328,7 @@ func (p *Persistent) WarmUp() error {
 // first-write-wins, so install order decides which attributes a re-used
 // entity id keeps, and recovery must decide it the way the live process
 // did.
-func (p *Persistent) loadSegmentEntities(sf *segmentV2File) error {
+func (p *Persistent) loadSegmentEntities(sf *segmentFile) error {
 	entities, err := sf.readEntities()
 	if err != nil {
 		return err
@@ -347,7 +347,7 @@ func (p *Persistent) loadSegmentEntities(sf *segmentV2File) error {
 // arrived through Ingest); segments found at open install on WarmUp.
 // Guarded by segMu.
 type segEntry struct {
-	seg    *segmentV2File
+	seg    *segmentFile
 	loaded bool
 }
 

@@ -20,8 +20,8 @@ import (
 // exactly like the in-memory store, with each partition's events sorted by
 // (Start, Seq) and stored column by column for the scan path:
 //
-//   - Events live in blocks of up to segV2BlockRows rows. Each block stores
-//     its columns contiguously, byte-encoded (see encodeV3Block) and run
+//   - Events live in blocks of up to segBlockRows rows. Each block stores
+//     its columns contiguously, byte-encoded (see encodeBlock) and run
 //     through the LZ codec in blockcodec.go when that shrinks them.
 //   - Subject/object entity ids are dictionary-encoded per partition: the
 //     columns hold indexes into a sorted id dictionary, and the posting
@@ -78,19 +78,19 @@ import (
 // half-written file that parses.
 
 const (
-	segV3Magic     = "AIQLSEG3"
-	segHeaderLen   = 8 + 8 + 8 + 4 + 4 + 8 + 8 + 4 + 4
-	segV2DirEntry  = 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8
-	segV3ZoneBytes = 4 + 4 + 8 + 8 + 2 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4
+	segMagic     = "AIQLSEG3"
+	segHeaderLen = 8 + 8 + 8 + 4 + 4 + 8 + 8 + 4 + 4
+	segDirEntry  = 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8
+	segZoneBytes = 4 + 4 + 8 + 8 + 2 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4
 
-	// segV2BlockRows is the zone-map granularity: rows per column block.
-	segV2BlockRows = 1024
+	// segBlockRows is the zone-map granularity: rows per column block.
+	segBlockRows = 1024
 
-	// segV3MaxRowEnc bounds the encoded (pre-compression) size of one row:
+	// segMaxRowEnc bounds the encoded (pre-compression) size of one row:
 	// 5 (start uvarint) + 5×10 (svarint columns) + 4+4 (packed dict
 	// indexes) + 1 (packed op, worst case whole byte). Meta decode rejects
 	// any zone advertising more — the OOM guard for lazy block decode.
-	segV3MaxRowEnc = 64
+	segMaxRowEnc = 64
 )
 
 // ErrSegmentCorrupt is wrapped by every error reporting on-disk segment
@@ -102,10 +102,10 @@ func corruptf(path, format string, args ...any) error {
 	return fmt.Errorf("%w: %s: %s", ErrSegmentCorrupt, path, fmt.Sprintf(format, args...))
 }
 
-// segV2Zone is one block's zone map. Besides the pruning bounds it records
+// segZone is one block's zone map. Besides the pruning bounds it records
 // the block's position in the partition data region: compressed blocks are
 // variable-length, so offsets cannot be derived from row counts.
-type segV2Zone struct {
+type segZone struct {
 	count    int
 	crc      uint32
 	minStart int64
@@ -122,27 +122,27 @@ type segV2Zone struct {
 	rawLen   uint32 // encoded length before byte compression
 }
 
-// segV2Meta is a partition's decoded metadata: everything a scan needs to
+// segMeta is a partition's decoded metadata: everything a scan needs to
 // decide which blocks to touch, plus the posting lists for index probes.
-type segV2Meta struct {
+type segMeta struct {
 	dict   []types.EntityID // sorted ascending
-	zones  []segV2Zone
+	zones  []segZone
 	bounds []uint32
 	posts  []uint32
 }
 
 // subjectPostings returns the event positions for dict entry i as subject.
-func (m *segV2Meta) subjectPostings(i int) []uint32 {
+func (m *segMeta) subjectPostings(i int) []uint32 {
 	return m.posts[m.bounds[2*i]:m.bounds[2*i+1]]
 }
 
 // objectPostings returns the event positions for dict entry i as object.
-func (m *segV2Meta) objectPostings(i int) []uint32 {
+func (m *segMeta) objectPostings(i int) []uint32 {
 	return m.posts[m.bounds[2*i+1]:m.bounds[2*i+2]]
 }
 
 // dictIndex returns the dictionary slot of id, or -1.
-func (m *segV2Meta) dictIndex(id types.EntityID) int {
+func (m *segMeta) dictIndex(id types.EntityID) int {
 	i := sort.Search(len(m.dict), func(j int) bool { return m.dict[j] >= id })
 	if i < len(m.dict) && m.dict[i] == id {
 		return i
@@ -150,13 +150,13 @@ func (m *segV2Meta) dictIndex(id types.EntityID) int {
 	return -1
 }
 
-// segV2PartInfo is the plain directory-entry payload — everything the
-// writer computes and the reader trusts after checkV2PartInfo. It is
-// separate from segV2Part so the writer can copy it freely (segV2Part
+// segPartInfo is the plain directory-entry payload — everything the
+// writer computes and the reader trusts after checkPartInfo. It is
+// separate from segPart so the writer can copy it freely (segPart
 // carries lock state). The directory includes the partition's [minStart,
 // maxStart] time range so the store can prune, order, and overlap-check
 // cold partitions without touching the meta region.
-type segV2PartInfo struct {
+type segPartInfo struct {
 	key      partKey
 	nEvents  int
 	nBlocks  int
@@ -170,25 +170,25 @@ type segV2PartInfo struct {
 	dataLen  uint64
 }
 
-// segV2Part is one directory entry plus its lazily-decoded metadata.
-type segV2Part struct {
-	segV2PartInfo
+// segPart is one directory entry plus its lazily-decoded metadata.
+type segPart struct {
+	segPartInfo
 
 	metaOnce sync.Once
 	metaErr  error
 	// meta is published atomically so Estimate can peek at already-decoded
 	// metadata without forcing (or racing with) the decode.
-	meta atomic.Pointer[segV2Meta]
+	meta atomic.Pointer[segMeta]
 }
 
 // peekMeta returns the decoded metadata if some scan already produced it,
 // without triggering a decode.
-func (pi *segV2Part) peekMeta() *segV2Meta { return pi.meta.Load() }
+func (pi *segPart) peekMeta() *segMeta { return pi.meta.Load() }
 
-// segmentV2File is an opened segment: header and directory eagerly, the
+// segmentFile is an opened segment: header and directory eagerly, the
 // payload memory-mapped on first use and partition metadata decoded on
 // first scan.
-type segmentV2File struct {
+type segmentFile struct {
 	path      string
 	firstSeq  uint64
 	lastSeq   uint64
@@ -196,7 +196,7 @@ type segmentV2File struct {
 	entityOff uint64
 	entityLen uint64
 	entityCRC uint32
-	parts     []segV2Part
+	parts     []segPart
 
 	mapOnce sync.Once
 	mapErr  error
@@ -206,7 +206,7 @@ type segmentV2File struct {
 
 // ensureMapped maps (or, off unix, reads) the whole file read-only exactly
 // once. The fd is closed immediately — the mapping outlives it.
-func (sf *segmentV2File) ensureMapped() error {
+func (sf *segmentFile) ensureMapped() error {
 	sf.mapOnce.Do(func() {
 		f, err := os.Open(sf.path)
 		if err != nil {
@@ -226,7 +226,7 @@ func (sf *segmentV2File) ensureMapped() error {
 
 // unmap releases the mapping; only tests call it (stores keep segments
 // mapped for their lifetime — the kernel pages them in and out as needed).
-func (sf *segmentV2File) unmap() {
+func (sf *segmentFile) unmap() {
 	if sf.mapped && sf.data != nil {
 		unmapFile(sf.data)
 	}
@@ -242,7 +242,7 @@ func (sf *segmentV2File) unmap() {
 // (events referencing entities sealed in earlier segments) so the attribute
 // zone maps can cover them; ids neither the batch nor lookup resolve
 // saturate their block's filter instead of weakening it.
-func writeSegment(dir string, firstSeq, lastSeq uint64, entities []types.Entity, events []types.Event, lookup func(types.EntityID) *types.Entity) (*segmentV2File, error) {
+func writeSegment(dir string, firstSeq, lastSeq uint64, entities []types.Entity, events []types.Event, lookup func(types.EntityID) *types.Entity) (*segmentFile, error) {
 	parts := make(map[partKey][]types.Event)
 	for i := range events {
 		ev := &events[i]
@@ -274,11 +274,11 @@ func writeSegment(dir string, firstSeq, lastSeq uint64, entities []types.Entity,
 		return nil
 	}
 
-	built := make([]v2PartBuild, 0, len(keys))
+	built := make([]partBuild, 0, len(keys))
 	for _, k := range keys {
 		evs := parts[k]
 		sort.Slice(evs, func(i, j int) bool { return eventLess(&evs[i], &evs[j]) })
-		bp, err := buildV3Partition(k, evs, resolve)
+		bp, err := buildPartition(k, evs, resolve)
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +286,7 @@ func writeSegment(dir string, firstSeq, lastSeq uint64, entities []types.Entity,
 	}
 
 	// Assign offsets: header | directory | meta+data per partition | entities.
-	off := uint64(segHeaderLen + len(built)*segV2DirEntry)
+	off := uint64(segHeaderLen + len(built)*segDirEntry)
 	for i := range built {
 		bp := &built[i]
 		bp.info.metaOff, bp.info.metaLen = off, uint64(len(bp.meta))
@@ -300,7 +300,7 @@ func writeSegment(dir string, firstSeq, lastSeq uint64, entities []types.Entity,
 	}
 	entityOff := off
 
-	dirBytes := make([]byte, 0, len(built)*segV2DirEntry)
+	dirBytes := make([]byte, 0, len(built)*segDirEntry)
 	for i := range built {
 		e := &built[i].info
 		dirBytes = binary.LittleEndian.AppendUint64(dirBytes, uint64(int64(e.key.agent)))
@@ -318,7 +318,7 @@ func writeSegment(dir string, firstSeq, lastSeq uint64, entities []types.Entity,
 	}
 
 	hdr := make([]byte, 0, segHeaderLen)
-	hdr = append(hdr, segV3Magic...)
+	hdr = append(hdr, segMagic...)
 	hdr = binary.LittleEndian.AppendUint64(hdr, firstSeq)
 	hdr = binary.LittleEndian.AppendUint64(hdr, lastSeq)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(built)))
@@ -378,10 +378,10 @@ func writeSegment(dir string, firstSeq, lastSeq uint64, entities []types.Entity,
 	return sf, nil
 }
 
-// v2PartBuild is one encoded partition: its directory entry (offsets still
+// partBuild is one encoded partition: its directory entry (offsets still
 // unassigned), meta region and data region.
-type v2PartBuild struct {
-	info segV2PartInfo
+type partBuild struct {
+	info segPartInfo
 	meta []byte
 	data []byte
 }
@@ -408,7 +408,7 @@ func segFileName(first, last uint64) string {
 // directory arithmetic. A file with any other magic — the retired v1 row
 // and v2 uncompressed formats included — is refused as corrupt: opening a
 // store with a silently shorter history would be worse.
-func openSegment(path string) (*segmentV2File, error) {
+func openSegment(path string) (*segmentFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: segment: %w", err)
@@ -423,10 +423,10 @@ func openSegment(path string) (*segmentV2File, error) {
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return nil, corruptf(path, "short header: %v", err)
 	}
-	if string(hdr[:8]) != segV3Magic {
-		return nil, corruptf(path, "bad magic %q: unsupported segment format, want %q", hdr[:8], segV3Magic)
+	if string(hdr[:8]) != segMagic {
+		return nil, corruptf(path, "bad magic %q: unsupported segment format, want %q", hdr[:8], segMagic)
 	}
-	sf := &segmentV2File{
+	sf := &segmentFile{
 		path:      path,
 		firstSeq:  binary.LittleEndian.Uint64(hdr[8:]),
 		lastSeq:   binary.LittleEndian.Uint64(hdr[16:]),
@@ -447,19 +447,19 @@ func openSegment(path string) (*segmentV2File, error) {
 	}
 	nParts := int(binary.LittleEndian.Uint32(hdr[24:]))
 	dirCRC := binary.LittleEndian.Uint32(hdr[52:])
-	if nParts < 0 || uint64(nParts) > size/segV2DirEntry {
+	if nParts < 0 || uint64(nParts) > size/segDirEntry {
 		return nil, corruptf(path, "implausible partition count %d", nParts)
 	}
-	dirBytes := make([]byte, nParts*segV2DirEntry)
+	dirBytes := make([]byte, nParts*segDirEntry)
 	if _, err := f.ReadAt(dirBytes, segHeaderLen); err != nil {
 		return nil, corruptf(path, "short directory: %v", err)
 	}
 	if crc32.Checksum(dirBytes, castagnoli) != dirCRC {
 		return nil, corruptf(path, "directory checksum mismatch")
 	}
-	sf.parts = make([]segV2Part, nParts)
+	sf.parts = make([]segPart, nParts)
 	for i := 0; i < nParts; i++ {
-		b := dirBytes[i*segV2DirEntry:]
+		b := dirBytes[i*segDirEntry:]
 		pi := &sf.parts[i]
 		pi.key = partKey{
 			agent: int(int64(binary.LittleEndian.Uint64(b[0:]))),
@@ -475,26 +475,26 @@ func openSegment(path string) (*segmentV2File, error) {
 		pi.metaLen = binary.LittleEndian.Uint64(b[56:])
 		pi.dataOff = binary.LittleEndian.Uint64(b[64:])
 		pi.dataLen = binary.LittleEndian.Uint64(b[72:])
-		if err := checkV2PartInfo(path, pi, size); err != nil {
+		if err := checkPartInfo(path, pi, size); err != nil {
 			return nil, err
 		}
 	}
 	return sf, nil
 }
 
-// checkV2PartInfo verifies one directory entry's internal arithmetic: the
+// checkPartInfo verifies one directory entry's internal arithmetic: the
 // meta length is a function of the counts and all regions sit inside the
 // file. Data regions are variable-length (compressed), so their length is
 // bounded rather than exact; the per-zone offsets are validated against it
 // when the meta region decodes.
-func checkV2PartInfo(path string, pi *segV2Part, size uint64) error {
+func checkPartInfo(path string, pi *segPart, size uint64) error {
 	at := func(format string, args ...any) error {
 		return corruptf(path, "partition (%d,%d): %s", pi.key.agent, pi.key.day, fmt.Sprintf(format, args...))
 	}
 	if pi.nEvents <= 0 {
 		return at("implausible event count %d", pi.nEvents)
 	}
-	if want := (pi.nEvents + segV2BlockRows - 1) / segV2BlockRows; pi.nBlocks != want {
+	if want := (pi.nEvents + segBlockRows - 1) / segBlockRows; pi.nBlocks != want {
 		return at("block count %d, want %d for %d events", pi.nBlocks, want, pi.nEvents)
 	}
 	if pi.nDict <= 0 || pi.nDict > 2*pi.nEvents {
@@ -503,13 +503,13 @@ func checkV2PartInfo(path string, pi *segV2Part, size uint64) error {
 	if pi.minStart > pi.maxStart {
 		return at("time range inverted")
 	}
-	wantMeta := uint64(pi.nDict)*8 + uint64(pi.nBlocks)*segV3ZoneBytes + uint64(2*pi.nDict+1)*4 + uint64(2*pi.nEvents)*4
+	wantMeta := uint64(pi.nDict)*8 + uint64(pi.nBlocks)*segZoneBytes + uint64(2*pi.nDict+1)*4 + uint64(2*pi.nEvents)*4
 	if pi.metaLen != wantMeta {
 		return at("meta length %d, want %d", pi.metaLen, wantMeta)
 	}
 	// Each block stores at least its flag byte, at most the flag plus an
-	// encoding that never exceeds segV3MaxRowEnc per row.
-	maxData := uint64(pi.nEvents)*segV3MaxRowEnc + uint64(pi.nBlocks)
+	// encoding that never exceeds segMaxRowEnc per row.
+	maxData := uint64(pi.nEvents)*segMaxRowEnc + uint64(pi.nBlocks)
 	if pi.dataLen < uint64(pi.nBlocks) || pi.dataLen > maxData {
 		return at("data length %d outside [%d,%d]", pi.dataLen, pi.nBlocks, maxData)
 	}
@@ -525,7 +525,7 @@ func checkV2PartInfo(path string, pi *segV2Part, size uint64) error {
 // loadMeta decodes (once) a partition's dictionary, zone maps and posting
 // lists from the mapped file, verifying the region checksum and every
 // structural invariant the scan path will rely on.
-func (sf *segmentV2File) loadMeta(pi *segV2Part) (*segV2Meta, error) {
+func (sf *segmentFile) loadMeta(pi *segPart) (*segMeta, error) {
 	pi.metaOnce.Do(func() {
 		m, err := sf.decodeMeta(pi)
 		if err != nil {
@@ -537,7 +537,7 @@ func (sf *segmentV2File) loadMeta(pi *segV2Part) (*segV2Meta, error) {
 	return pi.meta.Load(), pi.metaErr
 }
 
-func (sf *segmentV2File) decodeMeta(pi *segV2Part) (*segV2Meta, error) {
+func (sf *segmentFile) decodeMeta(pi *segPart) (*segMeta, error) {
 	if err := sf.ensureMapped(); err != nil {
 		return nil, err
 	}
@@ -551,9 +551,9 @@ func (sf *segmentV2File) decodeMeta(pi *segV2Part) (*segV2Meta, error) {
 	if crc32.Checksum(raw, castagnoli) != pi.metaCRC {
 		return nil, at("meta checksum mismatch")
 	}
-	m := &segV2Meta{
+	m := &segMeta{
 		dict:   make([]types.EntityID, pi.nDict),
-		zones:  make([]segV2Zone, pi.nBlocks),
+		zones:  make([]segZone, pi.nBlocks),
 		bounds: make([]uint32, 2*pi.nDict+1),
 		posts:  make([]uint32, 2*pi.nEvents),
 	}
@@ -583,8 +583,8 @@ func (sf *segmentV2File) decodeMeta(pi *segV2Part) (*segV2Meta, error) {
 		z.dataOff = binary.LittleEndian.Uint64(raw[off+58:])
 		z.dataLen = binary.LittleEndian.Uint32(raw[off+66:])
 		z.rawLen = binary.LittleEndian.Uint32(raw[off+70:])
-		off += segV3ZoneBytes
-		if z.count <= 0 || z.count > segV2BlockRows {
+		off += segZoneBytes
+		if z.count <= 0 || z.count > segBlockRows {
 			return nil, at("block %d: implausible row count %d", i, z.count)
 		}
 		if z.minStart > z.maxStart {
@@ -606,7 +606,7 @@ func (sf *segmentV2File) decodeMeta(pi *segV2Part) (*segV2Meta, error) {
 		if z.dataLen < 1 || uint64(z.dataLen) > pi.dataLen-z.dataOff {
 			return nil, at("block %d: stored length %d exceeds data region", i, z.dataLen)
 		}
-		if z.rawLen < 1 || int(z.rawLen) > z.count*segV3MaxRowEnc {
+		if z.rawLen < 1 || int(z.rawLen) > z.count*segMaxRowEnc {
 			return nil, at("block %d: implausible raw length %d for %d rows", i, z.rawLen, z.count)
 		}
 		if z.dataLen > z.rawLen+1 {
@@ -735,7 +735,7 @@ func (c *blockCols) OpColumn() ([]types.Op, bool) { return c.ops, true }
 
 // event materializes row i into ev. The caller resolves subject/object
 // through the partition dictionary.
-func (c *blockCols) event(i int, m *segV2Meta, ev *types.Event) {
+func (c *blockCols) event(i int, m *segMeta, ev *types.Event) {
 	ev.ID = types.EventID(c.ids[i])
 	ev.AgentID = int(c.agents[i])
 	ev.Subject = m.dict[c.subj[i]]
@@ -750,7 +750,7 @@ func (c *blockCols) event(i int, m *segV2Meta, ev *types.Event) {
 
 // readEntities reads, verifies and decodes the segment's entity block
 // through a file handle (called at open, before any mapping exists).
-func (sf *segmentV2File) readEntities() ([]types.Entity, error) {
+func (sf *segmentFile) readEntities() ([]types.Entity, error) {
 	f, err := os.Open(sf.path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: segment: %w", err)
@@ -788,7 +788,7 @@ func readEntityBlock(path string, f *os.File, off, length uint64, wantCRC uint32
 // match. Cold runs covering the same (agent, day) must arrive oldest-first
 // for the pointer hand-off fast path, so callers install segments
 // sequentially in firstSeq order — the work per segment is trivial.
-func (sf *segmentV2File) install(s *Store) error {
+func (sf *segmentFile) install(s *Store) error {
 	if err := sf.ensureMapped(); err != nil {
 		return err
 	}
@@ -801,7 +801,7 @@ func (sf *segmentV2File) install(s *Store) error {
 }
 
 // events returns the total event count across the segment's partitions.
-func (sf *segmentV2File) events() int {
+func (sf *segmentFile) events() int {
 	n := 0
 	for i := range sf.parts {
 		n += sf.parts[i].nEvents

@@ -17,7 +17,7 @@ const benchSegRows = 50000
 // mmap-backed cold runs, deferring all block decoding to the first scan
 // that needs it.
 func BenchmarkSegmentInstall(b *testing.B) {
-	entities, events := v2TestData(benchSegRows)
+	entities, events := segTestData(benchSegRows)
 	sf, err := writeSegment(b.TempDir(), 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -40,7 +40,7 @@ func BenchmarkSegmentInstall(b *testing.B) {
 // block decoded, rows filtered individually), and against a fully hot
 // store.
 func BenchmarkSegmentScan(b *testing.B) {
-	entities, events := v2TestData(benchSegRows)
+	entities, events := segTestData(benchSegRows)
 	q := &DataQuery{
 		Window:   timeutil.Window{From: events[0].Start, To: events[2048].Start},
 		SubjType: types.EntityProcess,

@@ -20,9 +20,9 @@ import (
 
 // fixtureData rebuilds the dataset the testdata segments hold: 240 events
 // over two agents and three days (six partitions), referencing the twenty
-// entities of v2TestData.
+// entities of segTestData.
 func fixtureData() ([]types.Entity, []types.Event) {
-	entities, events := v2TestData(240)
+	entities, events := segTestData(240)
 	for i := range events {
 		events[i].AgentID = 1 + i%2
 		events[i].Start += int64(i%3) * 86_400_000

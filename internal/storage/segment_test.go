@@ -18,10 +18,10 @@ import (
 	"aiql/internal/types"
 )
 
-// v2TestData builds one deterministic single-partition dataset: n events on
+// segTestData builds one deterministic single-partition dataset: n events on
 // agent 1, all on 2017-03-01, starts ascending — enough rows to span
 // several 1024-row blocks when n is large.
-func v2TestData(n int) ([]types.Entity, []types.Event) {
+func segTestData(n int) ([]types.Entity, []types.Event) {
 	const base = int64(1488326400000) // 2017-03-01T00:00:00Z
 	var entities []types.Entity
 	for id := 1; id <= 10; id++ {
@@ -56,7 +56,7 @@ func v2TestData(n int) ([]types.Entity, []types.Event) {
 
 // coldStoreFrom writes the dataset as a v3 segment in dir and installs it
 // into a fresh store as cold runs (entities hot, events cold).
-func coldStoreFrom(t *testing.T, dir string, opts Options, entities []types.Entity, events []types.Event) (*Store, *segmentV2File) {
+func coldStoreFrom(t *testing.T, dir string, opts Options, entities []types.Entity, events []types.Event) (*Store, *segmentFile) {
 	t.Helper()
 	sf, err := writeSegment(dir, 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
@@ -89,7 +89,7 @@ func TestSegmentV2RoundTrip(t *testing.T) {
 // prefix and requires the partition to thaw — decode, merge, and keep
 // answering exactly like the all-hot store.
 func TestSegmentV2ThawOnOutOfOrderIngest(t *testing.T) {
-	entities, events := v2TestData(2500)
+	entities, events := segTestData(2500)
 	st, _ := coldStoreFrom(t, t.TempDir(), Options{}, entities, events)
 
 	late := types.Event{
@@ -127,11 +127,11 @@ type segDirLayout struct {
 	dataOff, dataLen int
 }
 
-func readV2Layout(t *testing.T, raw []byte) segLayout {
+func readSegLayout(t *testing.T, raw []byte) segLayout {
 	t.Helper()
 	l := segLayout{nParts: int(binary.LittleEndian.Uint32(raw[24:28])), dirOff: segHeaderLen}
 	for i := 0; i < l.nParts; i++ {
-		off := l.dirOff + i*segV2DirEntry
+		off := l.dirOff + i*segDirEntry
 		l.entries = append(l.entries, segDirLayout{
 			off:     off,
 			nEvents: int(binary.LittleEndian.Uint32(raw[off+16 : off+20])),
@@ -152,12 +152,12 @@ func readV2Layout(t *testing.T, raw []byte) segLayout {
 // checksum mismatch upstream of it.
 func resealMeta(t *testing.T, raw []byte) {
 	t.Helper()
-	l := readV2Layout(t, raw)
+	l := readSegLayout(t, raw)
 	for _, e := range l.entries {
 		metaCRC := crc32.Checksum(raw[e.metaOff:e.metaOff+e.metaLen], castagnoli)
 		binary.LittleEndian.PutUint32(raw[e.off+28:e.off+32], metaCRC)
 	}
-	dirCRC := crc32.Checksum(raw[l.dirOff:l.dirOff+l.nParts*segV2DirEntry], castagnoli)
+	dirCRC := crc32.Checksum(raw[l.dirOff:l.dirOff+l.nParts*segDirEntry], castagnoli)
 	binary.LittleEndian.PutUint32(raw[52:56], dirCRC)
 }
 
@@ -194,7 +194,7 @@ func readBackSegment(path string, entities []types.Entity) ([]Match, error) {
 // the tampered field so the block decoder's own consistency checks, not a
 // CRC, must catch them.
 func TestSegmentV2CorruptionMatrix(t *testing.T) {
-	entities, events := v2TestData(2500)
+	entities, events := segTestData(2500)
 	dir := t.TempDir()
 	sf, err := writeSegment(dir, 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
@@ -205,7 +205,7 @@ func TestSegmentV2CorruptionMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := readV2Layout(t, pristine)
+	layout := readSegLayout(t, pristine)
 	e0 := layout.entries[0]
 	zone0 := e0.metaOff + e0.nDict*8 // block 0's zone map
 
@@ -313,7 +313,7 @@ func TestSegmentV2CorruptionMatrix(t *testing.T) {
 // warming a v2-backed store decodes zero blocks, and a narrow-window query
 // decodes only the blocks its window can touch.
 func TestColdScanLazyBlocks(t *testing.T) {
-	entities, events := v2TestData(3000) // 3 blocks: 1024+1024+952
+	entities, events := segTestData(3000) // 3 blocks: 1024+1024+952
 	st, _ := coldStoreFrom(t, t.TempDir(), Options{}, entities, events)
 
 	if stats := st.ScanStats(); stats.BlocksDecoded != 0 {
@@ -350,7 +350,7 @@ func TestColdScanLazyBlocks(t *testing.T) {
 // queries with pruning on and off and requires byte-identical results, with
 // the counters proving pruning actually skipped work.
 func TestZoneMapPruningDifferentialStorage(t *testing.T) {
-	entities, events := v2TestData(4000)
+	entities, events := segTestData(4000)
 	pruned, _ := coldStoreFrom(t, t.TempDir(), Options{}, entities, events)
 	exhaustive, _ := coldStoreFrom(t, t.TempDir(), Options{DisableZoneMaps: true}, entities, events)
 

@@ -13,7 +13,7 @@ import (
 )
 
 // Block encoding and attribute zone maps for sealed segments (layout in
-// segment_v2.go):
+// segment.go):
 //
 //   - Compressed column blocks. Each block is byte-encoded — uvarint
 //     start-time deltas, zigzag-varint residuals for the remaining numeric
@@ -71,10 +71,10 @@ func requiredTriMask(p pred.Pred) uint64 {
 	return m
 }
 
-// buildV3Partition encodes one sorted partition into its meta and data
+// buildPartition encodes one sorted partition into its meta and data
 // regions. resolve maps entity ids to entities for the
 // attribute filters; unresolvable ids saturate their block's filter.
-func buildV3Partition(k partKey, evs []types.Event, resolve func(types.EntityID) *types.Entity) (v2PartBuild, error) {
+func buildPartition(k partKey, evs []types.Event, resolve func(types.EntityID) *types.Entity) (partBuild, error) {
 	n := len(evs)
 	idSet := make(map[types.EntityID]struct{}, n)
 	for i := range evs {
@@ -110,17 +110,17 @@ func buildV3Partition(k partKey, evs []types.Event, resolve func(types.EntityID)
 		objPos[o] = append(objPos[o], uint32(i))
 	}
 
-	nBlocks := (n + segV2BlockRows - 1) / segV2BlockRows
-	zones := make([]segV2Zone, 0, nBlocks)
+	nBlocks := (n + segBlockRows - 1) / segBlockRows
+	zones := make([]segZone, 0, nBlocks)
 	var data []byte
 	var rawEnc, lzEnc []byte
-	for lo := 0; lo < n; lo += segV2BlockRows {
-		hi := lo + segV2BlockRows
+	for lo := 0; lo < n; lo += segBlockRows {
+		hi := lo + segBlockRows
 		if hi > n {
 			hi = n
 		}
 		block := evs[lo:hi]
-		z := segV2Zone{
+		z := segZone{
 			count:    len(block),
 			minStart: block[0].Start,
 			maxStart: block[len(block)-1].Start,
@@ -148,12 +148,12 @@ func buildV3Partition(k partKey, evs []types.Event, resolve func(types.EntityID)
 			z.objTri |= entMask[o]
 		}
 		if delta := z.maxStart - z.minStart; delta < 0 || delta > int64(^uint32(0)) {
-			return v2PartBuild{}, fmt.Errorf("storage: segment: partition (%d,%d) start span %d overflows delta encoding", k.agent, k.day, delta)
+			return partBuild{}, fmt.Errorf("storage: segment: partition (%d,%d) start span %d overflows delta encoding", k.agent, k.day, delta)
 		}
 
-		rawEnc = encodeV3Block(rawEnc[:0], block, &z, slot)
-		if len(rawEnc) > len(block)*segV3MaxRowEnc {
-			return v2PartBuild{}, fmt.Errorf("storage: segment: partition (%d,%d) block encoding %d bytes exceeds bound", k.agent, k.day, len(rawEnc))
+		rawEnc = encodeBlock(rawEnc[:0], block, &z, slot)
+		if len(rawEnc) > len(block)*segMaxRowEnc {
+			return partBuild{}, fmt.Errorf("storage: segment: partition (%d,%d) block encoding %d bytes exceeds bound", k.agent, k.day, len(rawEnc))
 		}
 		lzEnc = lzCompress(lzEnc[:0], rawEnc)
 		z.dataOff = uint64(len(data))
@@ -173,7 +173,7 @@ func buildV3Partition(k partKey, evs []types.Event, resolve func(types.EntityID)
 	}
 
 	// Meta region: dict | zones | bounds | posts.
-	meta := make([]byte, 0, len(dict)*8+nBlocks*segV3ZoneBytes+(2*len(dict)+1)*4+2*n*4)
+	meta := make([]byte, 0, len(dict)*8+nBlocks*segZoneBytes+(2*len(dict)+1)*4+2*n*4)
 	for _, id := range dict {
 		meta = binary.LittleEndian.AppendUint64(meta, uint64(id))
 	}
@@ -211,8 +211,8 @@ func buildV3Partition(k partKey, evs []types.Event, resolve func(types.EntityID)
 		}
 	}
 
-	return v2PartBuild{
-		info: segV2PartInfo{
+	return partBuild{
+		info: segPartInfo{
 			key:      k,
 			nEvents:  n,
 			nBlocks:  nBlocks,
@@ -233,7 +233,7 @@ func opWidth(ops types.OpSet) int {
 	return bits.Len(uint(maxOp))
 }
 
-// encodeV3Block appends the raw (pre-compression) encoding of one sorted
+// encodeBlock appends the raw (pre-compression) encoding of one sorted
 // block to dst. Columns are stored in order starts, ends, ids, seqs,
 // amounts, fail codes, subjects, objects, ops; each column picks the cheapest
 // residual its zone metadata lets the reader undo: start times as uvarint
@@ -241,7 +241,7 @@ func opWidth(ops types.OpSet) int {
 // seqs as delta chains (both ascend in practice), amounts and fail codes as
 // plain zigzag varints, dictionary indexes bit-packed against the zone's
 // index range, op codes bit-packed against the zone's op set.
-func encodeV3Block(dst []byte, block []types.Event, z *segV2Zone, slot map[types.EntityID]uint32) []byte {
+func encodeBlock(dst []byte, block []types.Event, z *segZone, slot map[types.EntityID]uint32) []byte {
 	prevStart := z.minStart
 	for i := range block {
 		dst = binary.AppendUvarint(dst, uint64(block[i].Start-prevStart))
@@ -289,7 +289,7 @@ func encodeV3Block(dst []byte, block []types.Event, z *segV2Zone, slot map[types
 // monotonicity and range, dictionary-index range, op-set membership)
 // re-checked on the decoded values — so a zone map inconsistent with its
 // block is a typed corruption error, not a silently wrong prune.
-func (sf *segmentV2File) decodeBlock(pi *segV2Part, m *segV2Meta, b int, cols *blockCols) error {
+func (sf *segmentFile) decodeBlock(pi *segPart, m *segMeta, b int, cols *blockCols) error {
 	if err := sf.ensureMapped(); err != nil {
 		return err
 	}

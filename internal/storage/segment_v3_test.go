@@ -15,7 +15,7 @@ import (
 // requires the cold store to answer exactly like the all-hot reference,
 // through both the full-scan and the indexed path.
 func TestSegmentV3RoundTrip(t *testing.T) {
-	entities, events := v2TestData(3000)
+	entities, events := segTestData(3000)
 	want := New(Options{})
 	want.Ingest(&types.Dataset{Entities: entities, Events: events})
 
@@ -32,8 +32,8 @@ func TestSegmentV3RoundTrip(t *testing.T) {
 			seg.firstSeq, seg.lastSeq, len(seg.parts), sf.firstSeq, sf.lastSeq, len(sf.parts))
 	}
 	for i := range seg.parts {
-		if seg.parts[i].segV2PartInfo != sf.parts[i].segV2PartInfo {
-			t.Fatalf("partition %d: reopened %+v, wrote %+v", i, seg.parts[i].segV2PartInfo, sf.parts[i].segV2PartInfo)
+		if seg.parts[i].segPartInfo != sf.parts[i].segPartInfo {
+			t.Fatalf("partition %d: reopened %+v, wrote %+v", i, seg.parts[i].segPartInfo, sf.parts[i].segPartInfo)
 		}
 	}
 }
@@ -43,7 +43,7 @@ func TestSegmentV3RoundTrip(t *testing.T) {
 // included — to be measurably smaller than the same batch in the WAL's
 // fixed-width row encoding.
 func TestSegmentV3CompressionSavesSpace(t *testing.T) {
-	entities, events := v2TestData(5000)
+	entities, events := segTestData(5000)
 	sf, err := writeSegment(t.TempDir(), 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestSegmentV3CompressionSavesSpace(t *testing.T) {
 // compression accounting: stored bytes read must be positive and smaller
 // than the raw bytes they decoded to on this highly regular dataset.
 func TestSegmentV3CompressedCounters(t *testing.T) {
-	entities, events := v2TestData(4000)
+	entities, events := segTestData(4000)
 	st, _ := coldStoreFrom(t, t.TempDir(), Options{}, entities, events)
 	if n := len(st.Run(context.Background(), &DataQuery{Ops: types.AllOps()})); n != 4000 {
 		t.Fatalf("full scan returned %d matches, want 4000", n)
@@ -83,7 +83,7 @@ func TestSegmentV3CompressedCounters(t *testing.T) {
 // distinct region and requires a typed ErrSegmentCorrupt from open or scan —
 // never a panic, never silent wrong rows.
 func TestSegmentV3CorruptionTyped(t *testing.T) {
-	entities, events := v2TestData(2500)
+	entities, events := segTestData(2500)
 	dir := t.TempDir()
 	sf, err := writeSegment(dir, 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestSegmentV3CorruptionTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := readV2Layout(t, pristine)
+	layout := readSegLayout(t, pristine)
 	if len(layout.entries) != 1 {
 		t.Fatalf("expected 1 partition, got %d", len(layout.entries))
 	}
@@ -232,7 +232,7 @@ func FuzzSegmentV3(f *testing.F) {
 	f.Add(int64(4), uint16(0), 0, byte(0x80))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, mutOff int, mutByte byte) {
 		rng := rand.New(rand.NewSource(seed))
-		entities, events := v2TestData(int(n)%2100 + 1)
+		entities, events := segTestData(int(n)%2100 + 1)
 		for i := range events {
 			events[i].AgentID = 1 + rng.Intn(2)
 			events[i].Start += int64(rng.Intn(3)) * 86_400_000
