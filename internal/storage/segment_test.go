@@ -79,7 +79,7 @@ func TestSegmentV2RoundTrip(t *testing.T) {
 	st, _ := coldStoreFrom(t, t.TempDir(), Options{}, ds.Entities, ds.Events)
 	want := New(Options{})
 	want.Ingest(ds)
-	assertStoresEqual(t, st, want, "v2 round trip")
+	assertStoresEqual(t, st, want, "round trip")
 	if stats := st.ScanStats(); stats.Thaws != 0 {
 		t.Fatalf("round-trip scans thawed %d partitions, want 0", stats.Thaws)
 	}
@@ -310,7 +310,7 @@ func TestSegmentV2CorruptionMatrix(t *testing.T) {
 }
 
 // TestColdScanLazyBlocks is the WarmUp regression guard: opening and
-// warming a v2-backed store decodes zero blocks, and a narrow-window query
+// warming a segment-backed store decodes zero blocks, and a narrow-window query
 // decodes only the blocks its window can touch.
 func TestColdScanLazyBlocks(t *testing.T) {
 	entities, events := segTestData(3000) // 3 blocks: 1024+1024+952
