@@ -254,10 +254,10 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 	var cols blockCols
 	var sel pred.Bitmap
 
-	// Attribute zone maps: trigram bits every matching
-	// subject/object entity must exhibit. Valid in candidate-set mode too —
-	// candidate membership implies the predicate holds, which implies the
-	// entity carries the required substrings. Zero masks never prune.
+	// Attribute zone maps: trigram bits every matching subject/object
+	// entity must exhibit. Valid in candidate-set mode too — candidate
+	// membership implies the predicate holds, which implies the entity
+	// carries the required substrings. Zero masks never prune.
 	var subjTriMask, objTriMask uint64
 	if zoneMaps && !q.ForceScan {
 		subjTriMask = requiredTriMask(q.SubjPred)

@@ -60,7 +60,7 @@ func coldStoreFrom(t *testing.T, dir string, opts Options, entities []types.Enti
 	t.Helper()
 	sf, err := writeSegment(dir, 1, uint64(len(events)), entities, events, nil)
 	if err != nil {
-		t.Fatalf("writeSegmentV3: %v", err)
+		t.Fatalf("writeSegment: %v", err)
 	}
 	st := New(opts)
 	st.Ingest(&types.Dataset{Entities: entities})
