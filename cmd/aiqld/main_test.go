@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -114,16 +115,51 @@ func TestDaemonServesQueries(t *testing.T) {
 	}
 }
 
+// daemonLog collects a daemon's stderr. The exec copier writes it while
+// the test polls it for the listen addresses, so access is locked.
+type daemonLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *daemonLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *daemonLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// listenAddr returns the address the daemon logged right after marker, or
+// "" while that line has not been written in full.
+func (l *daemonLog) listenAddr(marker string) string {
+	s := l.String()
+	i := strings.Index(s, marker)
+	if i < 0 {
+		return ""
+	}
+	rest := s[i+len(marker):]
+	if j := strings.IndexAny(rest, " \n"); j > 0 {
+		return rest[:j]
+	}
+	return ""
+}
+
 // startDaemon boots the binary with args, waits for /readyz (the boot gate
 // answers /healthz 200 the moment the listener opens, but the query routes
 // only come up when recovery finishes), and returns the base URL plus the
-// running command (so the caller can SIGKILL it).
+// running command (so the caller can SIGKILL it). The daemon binds port 0
+// and the test reads the bound address from its log, so no other process
+// can take the port between reservation and bind.
 func startDaemon(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
 	t.Helper()
-	addr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	cmd := exec.Command(bin, append([]string{"-addr", addr}, args...)...)
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
+	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	stderr := &daemonLog{}
+	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +167,16 @@ func startDaemon(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
 	})
-	base := "http://" + addr
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Get(base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return base, cmd
+		if addr := stderr.listenAddr(") listening on "); addr != "" {
+			base := "http://" + addr
+			resp, err := http.Get(base + "/readyz")
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					return base, cmd
+				}
 			}
 		}
 		if time.Now().After(deadline) {
@@ -296,7 +334,7 @@ func TestGracefulShutdownSIGTERM(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not exit within 30s of SIGTERM")
 	}
-	stderr := cmd.Stderr.(*strings.Builder).String()
+	stderr := cmd.Stderr.(*daemonLog).String()
 	if !strings.Contains(stderr, "shutting down") {
 		t.Errorf("stderr missing shutdown notice:\n%s", stderr)
 	}
@@ -322,10 +360,16 @@ func TestPprofListener(t *testing.T) {
 		t.Skip("short mode: skipping daemon boot")
 	}
 	bin := buildAiqld(t)
-	pprofAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	base, _ := startDaemon(t, bin,
+	base, cmd := startDaemon(t, bin,
 		"-generate", "-hosts", "10", "-days", "3", "-events", "50",
-		"-pprof", pprofAddr)
+		"-pprof", "127.0.0.1:0")
+	// The pprof listener opens before the query listener, so its address
+	// is already in the log once the daemon is ready.
+	log := cmd.Stderr.(*daemonLog)
+	pprofAddr := log.listenAddr("pprof listening on ")
+	if pprofAddr == "" {
+		t.Fatalf("daemon did not log its pprof address; stderr:\n%s", log.String())
+	}
 
 	resp, err := http.Get("http://" + pprofAddr + "/debug/pprof/")
 	if err != nil {

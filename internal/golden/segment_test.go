@@ -45,49 +45,54 @@ func buildSegmentedDir(t *testing.T, dir string) {
 	phase(batches[2:])
 }
 
-// TestSegmentedStoreAnswersGoldenCorpus reopens a store recovered purely
+// TestSegmentFormatsAnswerGoldenCorpus reopens a store recovered purely
 // from two sealed segments and requires it to answer the full golden corpus
-// exactly like the uninterrupted in-memory reference.
-func TestSegmentedStoreAnswersGoldenCorpus(t *testing.T) {
+// exactly like the uninterrupted in-memory reference. The test once ran a
+// matrix of segment formats; v3 is now the only one, and the surviving case
+// keeps its name, v2-only (it always wrote the default format), so its
+// suite ID stays stable.
+func TestSegmentFormatsAnswerGoldenCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: segmented-store corpus run")
 	}
-	dir := t.TempDir()
-	buildSegmentedDir(t, dir)
-	re, err := storage.OpenPersistent(dir, storage.PersistOptions{
-		SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1,
+	t.Run("v2-only", func(t *testing.T) {
+		dir := t.TempDir()
+		buildSegmentedDir(t, dir)
+		re, err := storage.OpenPersistent(dir, storage.PersistOptions{
+			SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if err := re.WarmUp(); err != nil {
+			t.Fatal(err)
+		}
+		if st := re.DurabilityStats(); st.Segments != 2 || st.SegmentsV3 != 2 || st.Replayed != 0 {
+			t.Fatalf("recovered %d segments (%d v3) and replayed %d WAL records, want 2 v3 segments and no replay",
+				st.Segments, st.SegmentsV3, st.Replayed)
+		}
+		ref := goldenEngine()
+		eng := engine.New(re.Store, engine.Options{})
+		for _, q := range allQueries() {
+			wantRes, err := ref.Query(q.Src)
+			if err != nil {
+				t.Fatalf("%s on reference store: %v", q.ID, err)
+			}
+			gotRes, err := eng.Query(q.Src)
+			if err != nil {
+				t.Fatalf("%s on segmented store: %v", q.ID, err)
+			}
+			if !equalStrings(gotRes.Columns, wantRes.Columns) {
+				t.Errorf("%s: columns %v, want %v", q.ID, gotRes.Columns, wantRes.Columns)
+				continue
+			}
+			if !equalRows(sortedRows(gotRes.Rows), sortedRows(wantRes.Rows)) {
+				t.Errorf("%s: segmented store returned %d rows, reference %d — result sets differ",
+					q.ID, len(gotRes.Rows), len(wantRes.Rows))
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if err := re.WarmUp(); err != nil {
-		t.Fatal(err)
-	}
-	if st := re.DurabilityStats(); st.Segments != 2 || st.SegmentsV3 != 2 || st.Replayed != 0 {
-		t.Fatalf("recovered %d segments (%d v3) and replayed %d WAL records, want 2 v3 segments and no replay",
-			st.Segments, st.SegmentsV3, st.Replayed)
-	}
-	ref := goldenEngine()
-	eng := engine.New(re.Store, engine.Options{})
-	for _, q := range allQueries() {
-		wantRes, err := ref.Query(q.Src)
-		if err != nil {
-			t.Fatalf("%s on reference store: %v", q.ID, err)
-		}
-		gotRes, err := eng.Query(q.Src)
-		if err != nil {
-			t.Fatalf("%s on segmented store: %v", q.ID, err)
-		}
-		if !equalStrings(gotRes.Columns, wantRes.Columns) {
-			t.Errorf("%s: columns %v, want %v", q.ID, gotRes.Columns, wantRes.Columns)
-			continue
-		}
-		if !equalRows(sortedRows(gotRes.Rows), sortedRows(wantRes.Rows)) {
-			t.Errorf("%s: segmented store returned %d rows, reference %d — result sets differ",
-				q.ID, len(gotRes.Rows), len(wantRes.Rows))
-		}
-	}
 }
 
 // TestZoneMapPruningDifferential runs the shared random-query distribution
