@@ -247,13 +247,14 @@ func deadWorkerCluster(t *testing.T) (*cluster.Coordinator, []*worker, int) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprintln(w, `{"kind":"hdr","shard":2}`)
-		fmt.Fprintln(w, `{"kind":"ent","ent":{"id":1,"type":"process","agentid":1,"attrs":{"exe_name":"x"}}}`)
-		fmt.Fprintln(w, `{"kind":"row","ev":{"id":1,"agentid":1,"subject":1,"object":1,"op":"read","start":42},"subj":1,"obj":1}`)
+		w.Header().Set(cluster.ShardHeader, "2")
+		w.Header().Set("Trailer", cluster.ScanRowsTrailer)
+		fmt.Fprintln(w, `{"kind":"entity","id":1,"type":"process","agentid":1,"attrs":{"exe_name":"x"}}`)
+		fmt.Fprintln(w, `{"kind":"event","id":1,"agentid":1,"subject":1,"object":1,"op":"read","start":42}`)
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
-		// Die without the end trailer: the coordinator must treat the
+		// Die without the rows trailer: the coordinator must treat the
 		// truncated stream as a worker failure, not a short result.
 		panic(http.ErrAbortHandler)
 	}))
@@ -346,8 +347,8 @@ func TestScanCancellationPropagatesToWorkers(t *testing.T) {
 		}
 		flusher, _ := w.(http.Flusher)
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprintln(w, `{"kind":"hdr","shard":0}`)
-		fmt.Fprintln(w, `{"kind":"ent","ent":{"id":1,"type":"process","agentid":1,"attrs":{"exe_name":"x"}}}`)
+		w.Header().Set(cluster.ShardHeader, "0")
+		fmt.Fprintln(w, `{"kind":"entity","id":1,"type":"process","agentid":1,"attrs":{"exe_name":"x"}}`)
 		for i := 0; ; i++ {
 			select {
 			case <-r.Context().Done():
@@ -355,7 +356,7 @@ func TestScanCancellationPropagatesToWorkers(t *testing.T) {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
-			fmt.Fprintf(w, `{"kind":"row","ev":{"id":%d,"agentid":1,"subject":1,"object":1,"op":"read","start":%d},"subj":1,"obj":1}`+"\n", i, i)
+			fmt.Fprintf(w, `{"kind":"event","id":%d,"agentid":1,"subject":1,"object":1,"op":"read","start":%d}`+"\n", i, i)
 			if flusher != nil {
 				flusher.Flush()
 			}

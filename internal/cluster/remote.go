@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,18 +11,20 @@ import (
 
 	"aiql/internal/obs"
 	"aiql/internal/storage"
+	"aiql/internal/trace"
 	"aiql/internal/types"
 )
 
 // remoteCursor streams one worker's /scan response as a storage.Cursor.
 // The HTTP request is issued immediately on creation (on a goroutine, so
 // sibling workers stream in parallel from the moment the coordinator's Scan
-// returns); Next decodes rows on the consumer's goroutine, with TCP flow
-// control providing the backpressure bounded channels provide locally.
+// returns); Next decodes records on the consumer's goroutine with the
+// trace package's JSON-lines decoder, the one /ingest uses, and TCP flow
+// control provides the backpressure bounded channels provide locally.
 //
-// A stream that ends without the worker's explicit "end" trailer — the
-// connection died, the worker crashed mid-scan — surfaces as an error, so a
-// truncated result can never pass for a complete one.
+// A stream that ends without the worker's ScanRowsTrailer — the connection
+// died, the worker crashed mid-scan — surfaces as an error, so a truncated
+// result can never pass for a complete one.
 type remoteCursor struct {
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -35,14 +36,16 @@ type remoteCursor struct {
 	workerIdx int
 
 	respCh chan respOrErr
-	body   io.ReadCloser
-	dec    *json.Decoder
+	resp   *http.Response
+	dec    *trace.Decoder
 
-	// entities interns "ent" records: rows reference entities by id.
+	// entities holds the stream's entity records: events reference them
+	// by id. ent and ev are the decoder's scratch records.
 	entities map[types.EntityID]*types.Entity
+	ent      types.Entity
+	ev       types.Event
 
-	rows   int
-	sawHdr bool
+	rows int
 	// span is the worker leg's trace span (nil when untraced); ended with
 	// the leg's row count when the cursor finishes.
 	span *obs.Span
@@ -98,7 +101,8 @@ func newRemoteCursor(ctx context.Context, client *http.Client, worker string, sh
 	return c
 }
 
-// connect waits for the response headers and validates the status line.
+// connect waits for the response headers and validates the status line
+// and the shard header.
 func (c *remoteCursor) connect() error {
 	select {
 	case re := <-c.respCh:
@@ -106,13 +110,27 @@ func (c *remoteCursor) connect() error {
 		if re.err != nil {
 			return re.err
 		}
+		c.resp = re.resp
 		if re.resp.StatusCode != http.StatusOK {
 			msg, _ := io.ReadAll(io.LimitReader(re.resp.Body, 1024))
-			re.resp.Body.Close()
 			return fmt.Errorf("scan returned %s: %s", re.resp.Status, bytes.TrimSpace(msg))
 		}
-		c.body = re.resp.Body
-		c.dec = json.NewDecoder(re.resp.Body)
+		shard, err := strconv.Atoi(re.resp.Header.Get(ShardHeader))
+		if err != nil {
+			return fmt.Errorf("missing or malformed %s header: not a worker /scan stream", ShardHeader)
+		}
+		// A worker that knows its own index (-shard flag) must be the
+		// worker the coordinator contacted: answering from the wrong slot
+		// means the -workers order no longer matches the order the data
+		// was placed in, and every pruned query would be silently wrong.
+		// The check is against the contacted worker's index, not the
+		// logical shard — under replication a replica legitimately answers
+		// for a shard it is not. Workers without a shard label (-1) skip
+		// the check.
+		if shard >= 0 && shard != c.workerIdx {
+			return fmt.Errorf("worker identifies as shard %d, coordinator routed shard %d here (is -workers in placement order?)", shard, c.workerIdx)
+		}
+		c.dec = trace.NewDecoder(re.resp.Body)
 		return nil
 	case <-c.ctx.Done():
 		return c.ctx.Err()
@@ -131,93 +149,52 @@ func (c *remoteCursor) Next(batch []storage.Match) int {
 	}
 	n := 0
 	for n < len(batch) {
-		var rec WireRecord
-		if err := c.dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				// EOF before the "end" trailer: the worker died mid-stream.
-				err = fmt.Errorf("stream truncated after %d rows: %w", c.rows, io.ErrUnexpectedEOF)
-			}
-			c.fail(err)
-			return 0
-		}
-		if !c.sawHdr {
-			// The protocol opens every stream with a hdr record; anything
-			// else means we are not talking to a worker /scan endpoint.
-			if rec.Kind != RecHdr {
-				c.fail(fmt.Errorf("stream opened with %q record, want %q", rec.Kind, RecHdr))
-				return 0
-			}
-			// A worker that knows its own index (-shard flag) must be the
-			// worker the coordinator contacted: answering from the wrong
-			// slot means the -workers order no longer matches the order
-			// the data was placed in, and every pruned query would be
-			// silently wrong. The check is against the contacted worker's
-			// index, not the logical shard — under replication a replica
-			// legitimately answers for a shard it is not. Workers without
-			// a shard label (-1) skip the check.
-			if rec.Shard >= 0 && rec.Shard != c.workerIdx {
-				c.fail(fmt.Errorf("worker identifies as shard %d, coordinator routed shard %d here (is -workers in placement order?)", rec.Shard, c.workerIdx))
-				return 0
-			}
-			c.sawHdr = true
-			continue
-		}
-		switch rec.Kind {
-		case RecHdr:
-			c.fail(errors.New("duplicate hdr record"))
-			return 0
-		case RecEnt:
-			if rec.Ent == nil {
-				c.fail(errors.New("malformed ent record"))
-				return 0
-			}
-			e, err := rec.Ent.Entity()
-			if err != nil {
+		kind, err := c.dec.Next(&c.ent, &c.ev)
+		if errors.Is(err, io.EOF) {
+			if err := c.trailer(); err != nil {
 				c.fail(err)
-				return 0
-			}
-			c.entities[e.ID] = e
-		case RecRow:
-			m, err := c.decodeRow(&rec)
-			if err != nil {
-				c.fail(err)
-				return 0
-			}
-			batch[n] = m
-			n++
-			c.rows++
-		case RecEnd:
-			if rec.Rows != c.rows {
-				c.fail(fmt.Errorf("trailer says %d rows, stream carried %d", rec.Rows, c.rows))
 				return 0
 			}
 			c.finish(nil)
 			return n
-		case RecErr:
-			c.fail(fmt.Errorf("worker scan failed: %s", rec.Error))
-			return 0
-		default:
-			c.fail(fmt.Errorf("unknown record kind %q", rec.Kind))
+		}
+		if err != nil {
+			c.fail(err)
 			return 0
 		}
+		if kind == trace.KindEntity {
+			e := c.ent
+			c.entities[e.ID] = &e
+			continue
+		}
+		ev := c.ev
+		subj, obj := c.entities[ev.Subject], c.entities[ev.Object]
+		if subj == nil || obj == nil {
+			c.fail(fmt.Errorf("event %d references an entity not sent on this stream (subject=%d object=%d)", ev.ID, ev.Subject, ev.Object))
+			return 0
+		}
+		batch[n] = storage.Match{Event: &ev, Subj: subj, Obj: obj}
+		n++
+		c.rows++
 	}
 	return n
 }
 
-func (c *remoteCursor) decodeRow(rec *WireRecord) (storage.Match, error) {
-	if rec.Ev == nil {
-		return storage.Match{}, errors.New("malformed row record")
+// trailer judges a body that ended cleanly by the trailers the worker
+// sent after it.
+func (c *remoteCursor) trailer() error {
+	if msg := c.resp.Trailer.Get(ScanErrorTrailer); msg != "" {
+		return fmt.Errorf("worker scan failed: %s", msg)
 	}
-	ev, err := rec.Ev.Event()
-	if err != nil {
-		return storage.Match{}, err
+	v := c.resp.Trailer.Get(ScanRowsTrailer)
+	if v == "" {
+		// No rows trailer: the worker died mid-stream.
+		return fmt.Errorf("stream truncated after %d rows: %w", c.rows, io.ErrUnexpectedEOF)
 	}
-	subj := c.entities[types.EntityID(rec.Subj)]
-	obj := c.entities[types.EntityID(rec.Obj)]
-	if subj == nil || obj == nil {
-		return storage.Match{}, fmt.Errorf("row references entity not sent on this stream (subj=%d obj=%d)", rec.Subj, rec.Obj)
+	if rows, err := strconv.Atoi(v); err != nil || rows != c.rows {
+		return fmt.Errorf("trailer says %s rows, stream carried %d", v, c.rows)
 	}
-	return storage.Match{Event: ev, Subj: subj, Obj: obj}, nil
+	return nil
 }
 
 func (c *remoteCursor) Err() error { return c.err }
@@ -249,9 +226,9 @@ func (c *remoteCursor) finish(err error) {
 	}
 	c.span.End()
 	c.cancel()
-	if c.body != nil {
-		c.body.Close()
-		c.body = nil
+	if c.resp != nil {
+		c.resp.Body.Close()
+		c.resp = nil
 	}
 	if c.respCh != nil {
 		// The request goroutine may still be in flight; the cancel above

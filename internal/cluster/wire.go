@@ -9,6 +9,27 @@ import (
 	"aiql/internal/types"
 )
 
+// The /scan response body is JSON-lines in the trace package's format, the
+// same records /ingest accepts: each entity goes out once, before the first
+// event that references it, and events carry their subject and object ids.
+// The framing travels as HTTP metadata instead of in-band records:
+//
+//   - ShardHeader, a response header, carries the answering worker's shard
+//     index (-1 when it has none). A response without it is not a worker
+//     /scan stream.
+//   - ScanRowsTrailer, a declared trailer, carries the number of events
+//     sent. It is what lets the coordinator tell a complete result from a
+//     connection that died mid-stream: a body that ends without it is a
+//     truncated stream and surfaces as a worker failure, never as a short
+//     result.
+//   - ScanErrorTrailer, a declared trailer, reports a scan that failed after
+//     the stream was underway.
+const (
+	ShardHeader      = "X-Aiql-Shard"
+	ScanRowsTrailer  = "X-Aiql-Scan-Rows"
+	ScanErrorTrailer = "X-Aiql-Scan-Error"
+)
+
 // WireQuery is the JSON form of a storage.DataQuery as POSTed to a worker's
 // /scan endpoint. Everything the engine synthesizes crosses the wire —
 // including the allow-sets and extra predicates constrained execution
@@ -140,100 +161,4 @@ func decodeIDSet(ids []uint64, has bool) map[types.EntityID]struct{} {
 		set[types.EntityID(id)] = struct{}{}
 	}
 	return set
-}
-
-// Stream record kinds on the /scan NDJSON response. The stream is
-//
-//	hdr (ent | row)* (end | err)
-//
-// Entities are interned: each distinct entity crosses the wire once, as an
-// "ent" record, before the first "row" referencing it; rows then carry the
-// event inline plus the subject/object entity ids. The explicit "end"
-// trailer is what lets the coordinator distinguish a complete result from a
-// connection that died mid-stream — a truncated stream must surface as a
-// worker failure, never as a short result.
-const (
-	RecHdr = "hdr"
-	RecEnt = "ent"
-	RecRow = "row"
-	RecEnd = "end"
-	RecErr = "err"
-)
-
-// WireRecord is one line of a /scan response stream.
-type WireRecord struct {
-	Kind string `json:"kind"`
-	// hdr payload.
-	Shard      int    `json:"shard,omitempty"`
-	Generation uint64 `json:"generation,omitempty"`
-	// ent payload.
-	Ent *WireEntity `json:"ent,omitempty"`
-	// row payload.
-	Ev   *WireEvent `json:"ev,omitempty"`
-	Subj uint64     `json:"subj,omitempty"`
-	Obj  uint64     `json:"obj,omitempty"`
-	// end payload.
-	Rows int `json:"rows,omitempty"`
-	// err payload.
-	Error string `json:"error,omitempty"`
-}
-
-// WireEntity mirrors types.Entity on the wire.
-type WireEntity struct {
-	ID      uint64            `json:"id"`
-	Type    string            `json:"type"`
-	AgentID int               `json:"agentid"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
-}
-
-// NewWireEntity converts an entity for the wire.
-func NewWireEntity(e *types.Entity) *WireEntity {
-	return &WireEntity{ID: uint64(e.ID), Type: e.Type.String(), AgentID: e.AgentID, Attrs: e.Attrs}
-}
-
-// Entity rebuilds the entity on the coordinator side.
-func (w *WireEntity) Entity() (*types.Entity, error) {
-	t, ok := types.ParseEntityType(w.Type)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown entity type %q", w.Type)
-	}
-	return &types.Entity{ID: types.EntityID(w.ID), Type: t, AgentID: w.AgentID, Attrs: w.Attrs}, nil
-}
-
-// WireEvent mirrors types.Event on the wire.
-type WireEvent struct {
-	ID       uint64 `json:"id"`
-	AgentID  int    `json:"agentid"`
-	Subject  uint64 `json:"subject"`
-	Object   uint64 `json:"object"`
-	Op       string `json:"op"`
-	Start    int64  `json:"start"`
-	End      int64  `json:"end,omitempty"`
-	Seq      uint64 `json:"seq,omitempty"`
-	Amount   int64  `json:"amount,omitempty"`
-	FailCode int    `json:"failcode,omitempty"`
-}
-
-// NewWireEvent converts an event for the wire.
-func NewWireEvent(ev *types.Event) *WireEvent {
-	return &WireEvent{
-		ID: uint64(ev.ID), AgentID: ev.AgentID,
-		Subject: uint64(ev.Subject), Object: uint64(ev.Object),
-		Op: ev.Op.String(), Start: ev.Start, End: ev.End,
-		Seq: ev.Seq, Amount: ev.Amount, FailCode: ev.FailCode,
-	}
-}
-
-// Event rebuilds the event on the coordinator side.
-func (w *WireEvent) Event() (*types.Event, error) {
-	op, ok := types.ParseOp(w.Op)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown operation %q", w.Op)
-	}
-	return &types.Event{
-		ID: types.EventID(w.ID), AgentID: w.AgentID,
-		Subject: types.EntityID(w.Subject), Object: types.EntityID(w.Object),
-		Op: op, Start: w.Start, End: w.End,
-		Seq: w.Seq, Amount: w.Amount, FailCode: w.FailCode,
-	}, nil
 }

@@ -60,6 +60,7 @@ import (
 	"aiql/internal/storage"
 	"aiql/internal/stream"
 	"aiql/internal/trace"
+	"aiql/internal/types"
 )
 
 // Options configure the service's caches.
@@ -441,12 +442,13 @@ func (s *Server) executeCluster(ctx context.Context, src string) (*QueryResponse
 
 // handleScan is the worker-facing endpoint of the distributed tier: it
 // executes one storage-level data query (the cluster wire form) against
-// the local store and streams the matches back as NDJSON — a header
-// record, interned entity records, one row per match, and an explicit end
-// trailer so the coordinator can tell a complete stream from a truncated
-// one. The scan is bound to the request context: when the coordinator
-// cancels (query canceled, another worker failed), the cursor's producers
-// stop promptly.
+// the local store and streams the matches back as /ingest's JSON-lines:
+// one event record per match, each entity sent once before the first
+// event referencing it. A shard header opens the response and a rows
+// trailer closes it, so the coordinator can tell a complete stream from a
+// truncated one (docs/CLUSTER.md, "The /scan protocol"). The scan is bound
+// to the request context: when the coordinator cancels (query canceled,
+// another worker failed), the cursor's producers stop promptly.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	// The scan body is bounded by MaxIngestBytes too: a wire query's bulk
 	// is its pushed-down allow-sets, which scale with prior pattern
@@ -524,22 +526,21 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cur.Close()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	h := w.Header()
+	h.Set("Content-Type", "application/x-ndjson")
+	h.Set(cluster.ShardHeader, strconv.Itoa(s.shard))
+	h.Set("Trailer", cluster.ScanRowsTrailer+", "+cluster.ScanErrorTrailer)
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	if err := enc.Encode(&cluster.WireRecord{Kind: cluster.RecHdr, Shard: s.shard, Generation: s.store.Generation()}); err != nil {
-		return
-	}
 	flush()
 
-	sentEnts := make(map[uint64]struct{})
+	enc := trace.NewEncoder(w)
+	sentEnts := make(map[types.EntityID]struct{})
 	batch := make([]storage.Match, storage.ScanBatchSize)
 	for {
 		n := cur.Next(batch)
@@ -548,22 +549,15 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		}
 		iq.AddRows(n)
 		for _, m := range batch[:n] {
-			if _, ok := sentEnts[uint64(m.Subj.ID)]; !ok {
-				sentEnts[uint64(m.Subj.ID)] = struct{}{}
-				if err := enc.Encode(&cluster.WireRecord{Kind: cluster.RecEnt, Ent: cluster.NewWireEntity(m.Subj)}); err != nil {
-					return
+			for _, e := range [2]*types.Entity{m.Subj, m.Obj} {
+				if _, ok := sentEnts[e.ID]; !ok {
+					sentEnts[e.ID] = struct{}{}
+					if err := enc.Entity(e); err != nil {
+						return
+					}
 				}
 			}
-			if _, ok := sentEnts[uint64(m.Obj.ID)]; !ok {
-				sentEnts[uint64(m.Obj.ID)] = struct{}{}
-				if err := enc.Encode(&cluster.WireRecord{Kind: cluster.RecEnt, Ent: cluster.NewWireEntity(m.Obj)}); err != nil {
-					return
-				}
-			}
-			if err := enc.Encode(&cluster.WireRecord{
-				Kind: cluster.RecRow, Ev: cluster.NewWireEvent(m.Event),
-				Subj: uint64(m.Subj.ID), Obj: uint64(m.Obj.ID),
-			}); err != nil {
+			if err := enc.Event(m.Event); err != nil {
 				return
 			}
 			rows++
@@ -571,16 +565,15 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		flush()
 	}
 	if err := cur.Err(); err != nil {
-		// The stream is already underway; report the failure in-band. A
-		// canceled request needs no trailer — nobody is listening.
+		// The stream is already underway; report the failure in the error
+		// trailer. A canceled request needs no trailer — nobody is
+		// listening.
 		if r.Context().Err() == nil {
-			_ = enc.Encode(&cluster.WireRecord{Kind: cluster.RecErr, Error: err.Error()})
-			flush()
+			h.Set(cluster.ScanErrorTrailer, err.Error())
 		}
 		return
 	}
-	_ = enc.Encode(&cluster.WireRecord{Kind: cluster.RecEnd, Rows: rows})
-	flush()
+	h.Set(cluster.ScanRowsTrailer, strconv.Itoa(rows))
 }
 
 // ndjsonRequested reports whether the client asked for streaming NDJSON.

@@ -1,15 +1,18 @@
 // Package trace serializes datasets as JSON-lines, the interchange format
 // between the generator tool (cmd/aiqlgen) and the query CLI (cmd/aiql) —
-// the stand-in for the paper's agent-to-server event stream — and the body
-// format of aiqld's /ingest.
+// the stand-in for the paper's agent-to-server event stream — the body
+// format of aiqld's /ingest, and the body of a worker's /scan answer.
 //
-// Each line is one record: entity records first, then event records, both
-// tagged with a "kind" discriminator so streams are self-describing and can
-// be concatenated.
+// Each line is one record, an entity or an event, tagged with a "kind"
+// discriminator so streams are self-describing and can be concatenated.
+// Write puts all entity records before the event records; a /scan stream
+// interleaves them, sending each entity before the first event that
+// references it. Encoder and Decoder work one record at a time, and Write
+// and Read are loops over them.
 //
 // # Decoding contract
 //
-// Write emits lines with encoding/json. Read is a single-pass,
+// Encoder emits lines with encoding/json. Decoder is a single-pass,
 // reflection-free decoder that accepts and rejects exactly what
 // json.Unmarshal into the wire structs below would, line by line:
 //
@@ -39,7 +42,7 @@
 // bufio.Scanner this decoder replaced; a longer one fails with an error
 // wrapping bufio.ErrTooLong), nesting deeper than encoding/json's 10,000
 // levels is rejected without recursion, and only a small read buffer is
-// allocated per call. Every decode error reads "trace: line N: ...";
+// allocated per Decoder. Every decode error reads "trace: line N: ...";
 // errors from the underlying reader are wrapped, so callers can still
 // match them with errors.As.
 package trace
@@ -81,30 +84,54 @@ type eventRec struct {
 	FailCode int    `json:"failcode,omitempty"`
 }
 
-// Write streams a dataset as JSON lines.
+// Encoder writes records as JSON lines, one Write call per record.
+type Encoder struct {
+	enc *json.Encoder
+}
+
+// NewEncoder returns an encoder writing to w.
+func NewEncoder(w io.Writer) *Encoder {
+	return &Encoder{enc: json.NewEncoder(w)}
+}
+
+// Entity writes one entity record.
+func (e *Encoder) Entity(ent *types.Entity) error {
+	rec := entityRec{
+		Kind: "entity", ID: uint64(ent.ID), Type: ent.Type.String(),
+		AgentID: ent.AgentID, Attrs: ent.Attrs,
+	}
+	if err := e.enc.Encode(&rec); err != nil {
+		return fmt.Errorf("trace: write entity %d: %w", ent.ID, err)
+	}
+	return nil
+}
+
+// Event writes one event record.
+func (e *Encoder) Event(ev *types.Event) error {
+	rec := eventRec{
+		Kind: "event", ID: uint64(ev.ID), AgentID: ev.AgentID,
+		Subject: uint64(ev.Subject), Object: uint64(ev.Object),
+		Op: ev.Op.String(), Start: ev.Start, End: ev.End,
+		Seq: ev.Seq, Amount: ev.Amount, FailCode: ev.FailCode,
+	}
+	if err := e.enc.Encode(&rec); err != nil {
+		return fmt.Errorf("trace: write event %d: %w", ev.ID, err)
+	}
+	return nil
+}
+
+// Write streams a dataset as JSON lines: its entities, then its events.
 func Write(w io.Writer, d *types.Dataset) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	enc := json.NewEncoder(bw)
+	enc := NewEncoder(bw)
 	for i := range d.Entities {
-		e := &d.Entities[i]
-		rec := entityRec{
-			Kind: "entity", ID: uint64(e.ID), Type: e.Type.String(),
-			AgentID: e.AgentID, Attrs: e.Attrs,
-		}
-		if err := enc.Encode(&rec); err != nil {
-			return fmt.Errorf("trace: write entity %d: %w", e.ID, err)
+		if err := enc.Entity(&d.Entities[i]); err != nil {
+			return err
 		}
 	}
 	for i := range d.Events {
-		ev := &d.Events[i]
-		rec := eventRec{
-			Kind: "event", ID: uint64(ev.ID), AgentID: ev.AgentID,
-			Subject: uint64(ev.Subject), Object: uint64(ev.Object),
-			Op: ev.Op.String(), Start: ev.Start, End: ev.End,
-			Seq: ev.Seq, Amount: ev.Amount, FailCode: ev.FailCode,
-		}
-		if err := enc.Encode(&rec); err != nil {
-			return fmt.Errorf("trace: write event %d: %w", ev.ID, err)
+		if err := enc.Event(&d.Events[i]); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -116,64 +143,120 @@ const (
 	maxLine = 1 << 24
 	// maxDepth is encoding/json's nesting limit.
 	maxDepth = 10000
-	// readBufSize is the read buffer; longer lines spill into decoder.long.
+	// readBufSize is the read buffer; longer lines spill into Decoder.long.
 	readBufSize = 4096
 )
 
-// Read parses a JSON-lines stream back into a dataset.
-func Read(r io.Reader) (*types.Dataset, error) {
-	d := decoder{br: bufio.NewReaderSize(r, readBufSize)}
-	var entities []types.Entity
-	var events []types.Event
+// Kind names the record Decoder.Next decoded.
+type Kind uint8
+
+const (
+	// KindEntity is an entity record.
+	KindEntity Kind = iota + 1
+	// KindEvent is an event record.
+	KindEvent
+)
+
+// Decoder reads records from a JSON-lines stream one at a time. Its line
+// reader and scratch buffers are reused from line to line.
+type Decoder struct {
+	br   *bufio.Reader
+	line int
+	long []byte // a line longer than the read buffer, assembled
+
+	p []byte // the line being decoded
+	i int    // offset of the next unread byte of p
+
+	// Unescaped strings land in scratch buffers when they cannot alias
+	// the line; kind, type and op each keep their own until the line ends.
+	keyBuf, kindBuf, typBuf, opBuf []byte
+	valBuf                         []byte     // the values of one attrs object
+	attrs                          []attrSpan // its members, in order
+	stack                          []byte     // open containers of a skipped value
+}
+
+// NewDecoder returns a decoder reading from r. It buffers its reads, so it
+// may consume bytes of r past the last record it returned.
+func NewDecoder(r io.Reader) *Decoder {
+	return &Decoder{br: bufio.NewReaderSize(r, readBufSize)}
+}
+
+// Next decodes the next record. An entity record overwrites *ent and an
+// event record *ev; the returned Kind says which. Next returns io.EOF once
+// the stream ends cleanly; after any other error the stream is abandoned.
+func (d *Decoder) Next(ent *types.Entity, ev *types.Event) (Kind, error) {
 	for {
 		p, err := d.nextLine()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if p == nil {
-			break
+			return 0, io.EOF
 		}
 		if len(p) == 0 {
 			continue
 		}
 		var rec record
 		if err := d.record(p, &rec); err != nil {
-			return nil, d.errorf("%w", err)
+			return 0, d.errorf("%w", err)
 		}
 		if rec.kindErr != nil {
-			return nil, d.errorf("%w", rec.kindErr)
+			return 0, d.errorf("%w", rec.kindErr)
 		}
 		switch string(rec.kind) {
 		case "entity":
 			if err := firstErr(rec.sharedErr, rec.entityErr); err != nil {
-				return nil, d.errorf("%w", err)
+				return 0, d.errorf("%w", err)
 			}
 			t, ok := types.ParseEntityType(string(rec.typ))
 			if !ok {
-				return nil, d.errorf("unknown entity type %q", rec.typ)
+				return 0, d.errorf("unknown entity type %q", rec.typ)
 			}
-			entities = append(entities, types.Entity{
+			*ent = types.Entity{
 				ID: types.EntityID(rec.id), Type: t, AgentID: rec.agentID, Attrs: rec.attrs,
-			})
+			}
+			return KindEntity, nil
 		case "event":
 			if err := firstErr(rec.sharedErr, rec.eventErr); err != nil {
-				return nil, d.errorf("%w", err)
+				return 0, d.errorf("%w", err)
 			}
 			op, ok := types.ParseOp(string(rec.op))
 			if !ok {
-				return nil, d.errorf("unknown operation %q", rec.op)
+				return 0, d.errorf("unknown operation %q", rec.op)
 			}
-			events = append(events, types.Event{
+			*ev = types.Event{
 				ID: types.EventID(rec.id), AgentID: rec.agentID,
 				Subject: types.EntityID(rec.subject), Object: types.EntityID(rec.object),
 				Op: op, Start: rec.start, End: rec.end, Seq: rec.seq,
 				Amount: rec.amount, FailCode: rec.failCode,
-			})
+			}
+			return KindEvent, nil
 		default:
-			return nil, d.errorf("unknown record kind %q", rec.kind)
+			return 0, d.errorf("unknown record kind %q", rec.kind)
 		}
 	}
-	return types.NewDataset(entities, events), nil
+}
+
+// Read parses a JSON-lines stream back into a dataset.
+func Read(r io.Reader) (*types.Dataset, error) {
+	dec := NewDecoder(r)
+	var entities []types.Entity
+	var events []types.Event
+	var ent types.Entity
+	var ev types.Event
+	for {
+		k, err := dec.Next(&ent, &ev)
+		switch {
+		case errors.Is(err, io.EOF):
+			return types.NewDataset(entities, events), nil
+		case err != nil:
+			return nil, err
+		case k == KindEntity:
+			entities = append(entities, ent)
+		default:
+			events = append(events, ev)
+		}
+	}
 }
 
 // record is the union of entityRec and eventRec, decoded in one pass
@@ -321,31 +404,13 @@ func internKey(b []byte) string {
 	return string(b)
 }
 
-// decoder holds the per-call state of Read: the line reader and scratch
-// buffers reused from line to line.
-type decoder struct {
-	br   *bufio.Reader
-	line int
-	long []byte // a line longer than the read buffer, assembled
-
-	p []byte // the line being decoded
-	i int    // offset of the next unread byte of p
-
-	// Unescaped strings land in scratch buffers when they cannot alias
-	// the line; kind, type and op each keep their own until the line ends.
-	keyBuf, kindBuf, typBuf, opBuf []byte
-	valBuf                         []byte     // the values of one attrs object
-	attrs                          []attrSpan // its members, in order
-	stack                          []byte     // open containers of a skipped value
-}
-
-func (d *decoder) errorf(format string, args ...any) error {
+func (d *Decoder) errorf(format string, args ...any) error {
 	return fmt.Errorf("trace: line %d: "+format, append([]any{d.line}, args...)...)
 }
 
 // nextLine returns the next line without its terminator, nil at the end
 // of input. The slice is valid until the next call.
-func (d *decoder) nextLine() ([]byte, error) {
+func (d *Decoder) nextLine() ([]byte, error) {
 	d.long = d.long[:0]
 	for {
 		chunk, err := d.br.ReadSlice('\n')
@@ -385,7 +450,7 @@ func (d *decoder) nextLine() ([]byte, error) {
 
 // record decodes one line into rec. It returns syntax errors; type errors
 // are left on rec.
-func (d *decoder) record(p []byte, rec *record) error {
+func (d *Decoder) record(p []byte, rec *record) error {
 	d.p, d.i = p, 0
 	if err := d.expectValue(); err != nil {
 		return err
@@ -465,7 +530,7 @@ func firstErr(have, err error) error {
 // members decodes the members of the object whose '{' was just consumed,
 // calling member with each key positioned at its value. The key slice is
 // only valid during the call.
-func (d *decoder) members(member func(key []byte) error) error {
+func (d *Decoder) members(member func(key []byte) error) error {
 	d.ws()
 	if d.i < len(d.p) && d.p[d.i] == '}' {
 		d.i++
@@ -507,7 +572,7 @@ func (d *decoder) members(member func(key []byte) error) error {
 }
 
 // end checks that only whitespace follows the line's value.
-func (d *decoder) end() error {
+func (d *Decoder) end() error {
 	d.ws()
 	if d.i < len(d.p) {
 		return d.syntaxError("after top-level value")
@@ -515,7 +580,7 @@ func (d *decoder) end() error {
 	return nil
 }
 
-func (d *decoder) ws() {
+func (d *Decoder) ws() {
 	for d.i < len(d.p) {
 		if c := d.p[d.i]; c > ' ' || c != ' ' && c != '\t' && c != '\r' && c != '\n' {
 			return
@@ -525,7 +590,7 @@ func (d *decoder) ws() {
 }
 
 // expectValue skips whitespace and checks that a value follows.
-func (d *decoder) expectValue() error {
+func (d *Decoder) expectValue() error {
 	d.ws()
 	if d.i >= len(d.p) {
 		return errUnexpectedEnd
@@ -535,7 +600,7 @@ func (d *decoder) expectValue() error {
 
 var errUnexpectedEnd = errors.New("unexpected end of JSON input")
 
-func (d *decoder) syntaxError(context string) error {
+func (d *Decoder) syntaxError(context string) error {
 	if d.i >= len(d.p) {
 		return errUnexpectedEnd
 	}
@@ -562,7 +627,7 @@ func typeError(c byte, into string) error {
 // stringValue decodes a string field: a string is stored in *dst
 // (aliasing the line, or *buf when it had to be unescaped), null leaves
 // *dst as it was, and anything else is a type error.
-func (d *decoder) stringValue(dst *[]byte, buf *[]byte) (terr, err error) {
+func (d *Decoder) stringValue(dst *[]byte, buf *[]byte) (terr, err error) {
 	switch c := d.p[d.i]; c {
 	case '"':
 		s, err := d.str(buf)
@@ -579,7 +644,7 @@ func (d *decoder) stringValue(dst *[]byte, buf *[]byte) (terr, err error) {
 
 // uintValue, int64Value and intValue decode integer fields; null leaves
 // the field as it was.
-func (d *decoder) uintValue(dst *uint64) (terr, err error) {
+func (d *Decoder) uintValue(dst *uint64) (terr, err error) {
 	tok, terr, err := d.intToken()
 	if tok == nil {
 		return terr, err
@@ -592,7 +657,7 @@ func (d *decoder) uintValue(dst *uint64) (terr, err error) {
 	return nil, nil
 }
 
-func (d *decoder) int64Value(dst *int64) (terr, err error) {
+func (d *Decoder) int64Value(dst *int64) (terr, err error) {
 	tok, terr, err := d.intToken()
 	if tok == nil {
 		return terr, err
@@ -605,7 +670,7 @@ func (d *decoder) int64Value(dst *int64) (terr, err error) {
 	return nil, nil
 }
 
-func (d *decoder) intValue(dst *int) (terr, err error) {
+func (d *Decoder) intValue(dst *int) (terr, err error) {
 	tok, terr, err := d.intToken()
 	if tok == nil {
 		return terr, err
@@ -620,7 +685,7 @@ func (d *decoder) intValue(dst *int) (terr, err error) {
 
 // intToken reads the value of an integer field. It returns the number's
 // bytes, or nil for null and for a value of another type (with terr set).
-func (d *decoder) intToken() (tok []byte, terr, err error) {
+func (d *Decoder) intToken() (tok []byte, terr, err error) {
 	switch c := d.p[d.i]; {
 	case c == '-' || '0' <= c && c <= '9':
 		start := d.i
@@ -677,7 +742,7 @@ func parseInt(tok []byte) (int64, bool) {
 // attrsValue decodes the attrs map: an object merges into *dst (made on
 // first use), null resets it to nil, anything else is a type error. The
 // values of one object share a single string allocation.
-func (d *decoder) attrsValue(dst *map[string]string) (terr, err error) {
+func (d *Decoder) attrsValue(dst *map[string]string) (terr, err error) {
 	switch c := d.p[d.i]; c {
 	case '{':
 		d.i++
@@ -729,7 +794,7 @@ func (d *decoder) attrsValue(dst *map[string]string) (terr, err error) {
 }
 
 // attrSpan is one decoded attrs member: its value is
-// decoder.valBuf[start:end].
+// Decoder.valBuf[start:end].
 type attrSpan struct {
 	key        string
 	start, end int
@@ -738,7 +803,7 @@ type attrSpan struct {
 // str decodes the string at d.p[d.i] == '"'. Its contents alias the line
 // when no unescaping or UTF-8 repair is needed, else they are rebuilt in
 // *buf.
-func (d *decoder) str(buf *[]byte) ([]byte, error) {
+func (d *Decoder) str(buf *[]byte) ([]byte, error) {
 	raw, plain, err := d.scanString()
 	if err != nil || plain {
 		return raw, err
@@ -750,7 +815,7 @@ func (d *decoder) str(buf *[]byte) ([]byte, error) {
 // scanString validates the string at d.p[d.i] == '"' and moves past it.
 // It returns the raw contents and whether they are plain: free of escapes
 // and valid UTF-8.
-func (d *decoder) scanString() (raw []byte, plain bool, err error) {
+func (d *Decoder) scanString() (raw []byte, plain bool, err error) {
 	p := d.p
 	start := d.i + 1
 	plain = true
@@ -875,7 +940,7 @@ func getu4(s []byte) rune {
 }
 
 // number validates the JSON number at d.p[d.i] and moves past it.
-func (d *decoder) number() error {
+func (d *Decoder) number() error {
 	p := d.p
 	i := d.i
 	if p[i] == '-' {
@@ -921,7 +986,7 @@ func digits(p []byte, i int) int {
 }
 
 // literal consumes the literal word (true, false or null) at d.p[d.i].
-func (d *decoder) literal(word string) error {
+func (d *Decoder) literal(word string) error {
 	for j := 0; j < len(word); j++ {
 		if d.i >= len(d.p) || d.p[d.i] != word[j] {
 			return d.syntaxError("in literal " + word)
@@ -934,7 +999,7 @@ func (d *decoder) literal(word string) error {
 // skipValue validates and moves past the value at d.p[d.i], which sits
 // inside depth open containers. Nesting is tracked on an explicit stack,
 // so hostile depth costs one byte per level, never a goroutine stack.
-func (d *decoder) skipValue(depth int) error {
+func (d *Decoder) skipValue(depth int) error {
 	stack := d.stack[:0]
 	defer func() { d.stack = stack[:0] }()
 	for {
@@ -1017,7 +1082,7 @@ func (d *decoder) skipValue(depth int) error {
 }
 
 // objectKey validates an object key and its colon inside a skipped value.
-func (d *decoder) objectKey() error {
+func (d *Decoder) objectKey() error {
 	d.ws()
 	if d.i >= len(d.p) || d.p[d.i] != '"' {
 		return d.syntaxError("looking for beginning of object key string")
