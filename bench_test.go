@@ -67,7 +67,6 @@ func benchEngines() map[string]*engine.Engine {
 		engines["no-pushdown"] = engine.New(opt, engine.Options{NoPushdown: true})
 		engines["no-splitdays"] = engine.New(opt, engine.Options{DisableSplitDays: true})
 		engines["no-hashjoin"] = engine.New(opt, engine.Options{NoHashJoin: true})
-		engines["apply-join"] = engine.New(opt, engine.Options{ApplyJoin: true})
 		engines["stats-scoring"] = engine.New(opt, engine.Options{StatsScoring: true})
 
 		pgStore := storage.New(storage.Options{DisablePruning: true, Workers: 1})
@@ -251,12 +250,6 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 // BenchmarkAblationHashJoin forces nested-loop joins.
 func BenchmarkAblationHashJoin(b *testing.B) {
 	ablation(b, "aiql", "no-hashjoin")
-}
-
-// BenchmarkAblationApplyJoin replaces batch joins with per-row re-expansion
-// (the Cypher Apply discipline) on AIQL's own storage.
-func BenchmarkAblationApplyJoin(b *testing.B) {
-	ablation(b, "aiql", "apply-join")
 }
 
 // BenchmarkAblationStatsScoring replaces constraint-count pruning scores
@@ -695,8 +688,9 @@ func benchClusterEngine() (*engine.Engine, error) {
 // BenchmarkClusterVsSingleNode prices the real multi-process topology:
 // identical engine and behaviour corpus, one run against the local store
 // and one scattered over HTTP to 3 worker shards and gathered back through
-// remote cursors. The delta is the wire cost (serialization, fan-out,
-// NDJSON decode) that docs/CLUSTER.md tells operators to budget for.
+// remote cursors. The delta is the wire cost (serialization, fan-out, and
+// decoding each worker's JSON-lines answer with the /ingest decoder) that
+// docs/CLUSTER.md tells operators to budget for.
 func BenchmarkClusterVsSingleNode(b *testing.B) {
 	single := benchEngines()["aiql"]
 	clusterEng, err := benchClusterEngine()

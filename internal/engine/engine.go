@@ -100,10 +100,6 @@ type Options struct {
 	// NoHashJoin forces nested-loop joins, emulating query layers without
 	// efficient join support (the paper's Neo4j observation).
 	NoHashJoin bool
-	// ApplyJoin replaces fetch-once-and-join with per-row re-expansion of
-	// each subsequent pattern (Cypher's Apply operator) — the Neo4j
-	// emulation's join discipline. Overrides Strategy's join behaviour.
-	ApplyJoin bool
 }
 
 func (o Options) withDefaults() Options {
@@ -451,16 +447,6 @@ func (x *execution) run() (*tupleSet, error) {
 		ts  *tupleSet
 		err error
 	)
-	if x.eng.opts.ApplyJoin {
-		ts, err = x.applyJoin()
-		if err != nil {
-			return nil, err
-		}
-		if len(ts.cols) != len(x.plan.Patterns) {
-			return nil, fmt.Errorf("aiql: internal error: apply join covered %d of %d patterns", len(ts.cols), len(x.plan.Patterns))
-		}
-		return ts, nil
-	}
 	switch x.eng.opts.Strategy {
 	case StrategyRelationship:
 		ts, err = x.relationshipSchedule()

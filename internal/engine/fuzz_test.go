@@ -29,7 +29,6 @@ func TestSchedulerEquivalenceFuzz(t *testing.T) {
 		"stats":         {StatsScoring: true},
 		"fetch-filter":  {Strategy: engine.StrategyFetchFilter},
 		"big-join":      {Strategy: engine.StrategyBigJoin},
-		"apply-join":    {ApplyJoin: true},
 	}
 	engines := make(map[string]*engine.Engine, len(configs))
 	for name, opts := range configs {
